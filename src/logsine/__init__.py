@@ -15,7 +15,6 @@ from .family import (
     METHOD_DERIVATIVE_SERIES,
     METHOD_INTEGRAL,
     METHOD_LADDER,
-    Evaluation,
     eval_derivative_cot,
     eval_derivative_series,
     eval_integral,
@@ -26,7 +25,7 @@ from .family import (
     genfunc_tail_bound,
     ladder_delta,
 )
-from .quadrature import QuadResult, cot_kernel, integrate_de, log_sin_kernel, weight
+from .quadrature import Evaluation, cot_kernel, integrate_de, log_sin_kernel, weight
 from .sequences import (
     BERNOULLI_MAX_INDEX,
     bernoulli_even,
@@ -77,7 +76,6 @@ __all__ = [
     "NonConvergenceError",
     "NonFiniteSampleError",
     "QuadratureError",
-    "QuadResult",
     "TableAudit",
     "audit_large_n",
     "audit_small_x",

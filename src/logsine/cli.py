@@ -162,20 +162,20 @@ def _split_selection(raw, valid, what) -> tuple[str, ...]:
     return tuple(name for name in valid if name in names)
 
 
-def cmd_eval(ns) -> int:
-    point = GridPoint(ns.n, ns.x)
-    acc = _accuracy(ns)
-    code = EXIT_OK
+def _best_estimate(p, method, acc, constant_variant=CONSTANT_CORRECTED) -> Evaluation:
+    # a route that runs out of budget still yields its best estimate
     try:
-        ev = evaluate(point, method=ns.method, acc=acc, constant_variant=ns.constant)
+        return evaluate(p, method=method, acc=acc, constant_variant=constant_variant)
     except NonConvergenceError as exc:
-        best = exc.result
-        ev = Evaluation(best.value, best.err_estimate, best.evaluations)
-        print(f"warning: {exc}; best estimate printed", file=sys.stderr)
-        code = EXIT_NONCONVERGENCE
+        print(f"warning: n={p.n} x={fmt(p.x)} {method}: {exc}; best estimate printed", file=sys.stderr)
+        return exc.result
+
+
+def cmd_eval(ns) -> int:
+    ev = _best_estimate(GridPoint(ns.n, ns.x), ns.method, _accuracy(ns), ns.constant)
     row = (ns.n, ns.x, ns.method, ev.value, ev.err_estimate, ev.evaluations)
     _emit_rows(ns, EVAL_HEADER, [row])
-    return code
+    return EXIT_OK if ev.converged else EXIT_NONCONVERGENCE
 
 
 def cmd_table(ns) -> int:
@@ -183,27 +183,18 @@ def cmd_table(ns) -> int:
         raise DomainError("n-list and x-list must be non-empty")
     points = [GridPoint(n, x) for n in ns.n_list for x in ns.x_list]
     acc = _accuracy(ns)
-    code = EXIT_OK
+    converged = True
     rows = []
     for p in points:
-        try:
-            integral = evaluate(p, method=METHOD_INTEGRAL, acc=acc)
-        except NonConvergenceError as exc:
-            integral = Evaluation(exc.result.value, exc.result.err_estimate, exc.result.evaluations)
-            print(f"warning: n={p.n} x={fmt(p.x)}: {exc}", file=sys.stderr)
-            code = EXIT_NONCONVERGENCE
-        try:
-            ladder = evaluate(p, method=METHOD_LADDER, acc=acc)
-        except NonConvergenceError as exc:
-            ladder = Evaluation(exc.result.value, exc.result.err_estimate, exc.result.evaluations)
-            print(f"warning: n={p.n} x={fmt(p.x)}: {exc}", file=sys.stderr)
-            code = EXIT_NONCONVERGENCE
+        integral = _best_estimate(p, METHOD_INTEGRAL, acc)
+        ladder = _best_estimate(p, METHOD_LADDER, acc)
+        converged = converged and integral.converged and ladder.converged
         rows.append(
             (p.n, p.x, integral.value, ladder.value,
              abs(integral.value - ladder.value), integral.err_estimate)
         )
     _emit_rows(ns, TABLE_HEADER, rows)
-    return code
+    return EXIT_OK if converged else EXIT_NONCONVERGENCE
 
 
 def _report_row(report):

@@ -7,6 +7,7 @@ can be evaluated concurrently without shared state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import DomainError
 
@@ -24,6 +25,8 @@ class GridPoint:
     x: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral):
+            raise DomainError("n must be an integer")
         if self.n < 1:
             raise DomainError("n must satisfy n >= 1")
         if not 0.0 < self.x <= 1.0:

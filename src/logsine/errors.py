@@ -18,7 +18,8 @@ class NonFiniteSampleError(QuadratureError):
 class NonConvergenceError(QuadratureError):
     """Refinement budget exhausted before the tolerance was met.
 
-    Carries the best estimate so callers can decide whether to keep it.
+    Carries the best estimate (an Evaluation with converged=False) so
+    callers can decide whether to keep it.
     """
 
     def __init__(self, message: str, result) -> None:

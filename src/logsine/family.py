@@ -13,11 +13,11 @@ each one holds numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint
-from .errors import DomainError
-from .quadrature import QuadResult, cot_kernel, integrate_de, log_sin_kernel, weight
+from .errors import DomainError, NonConvergenceError
+from .quadrature import Evaluation, _checked, cot_kernel, integrate_de, log_sin_kernel, weight
 from .sequences import harmonic, zeta_even
 
 CONSTANT_AS_PRINTED = "as_printed"
@@ -31,40 +31,36 @@ METHOD_DERIVATIVE_SERIES = "derivative-series"
 METHODS = (METHOD_INTEGRAL, METHOD_LADDER, METHOD_DERIVATIVE_COT, METHOD_DERIVATIVE_SERIES)
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """A family value together with its accumulated error estimate and the
-    number of integrand samples or series terms it consumed."""
+def _moment(integrand, acc: Accuracy) -> Evaluation:
+    # the quadrature's result whether or not it converged: each route maps
+    # it into its own units, and _checked decides once on the route's result
+    try:
+        return integrate_de(integrand, acc)
+    except NonConvergenceError as exc:
+        return exc.result
 
-    value: float
-    err_estimate: float
-    evaluations: int
 
-
-def _kernel_moment(p: GridPoint, acc: Accuracy) -> QuadResult:
+def _integral(p: GridPoint, acc: Accuracy) -> Evaluation:
     # n int_0^1 (1-u)^(n-1) log(2 sin(pi x u)) du
     n, x = p.n, p.x
 
     def integrand(u: float) -> float:
         return weight(n, u) * log_sin_kernel(x, u)
 
-    return integrate_de(integrand, acc)
-
-
-def _integral(p: GridPoint, acc: Accuracy) -> Evaluation:
-    q = _kernel_moment(p, acc)
-    value = harmonic(p.n) - math.log(2.0 * math.pi * p.x) - q.value
-    return Evaluation(value, q.err_estimate, q.evaluations)
+    q = _moment(integrand, acc)
+    return replace(q, value=harmonic(n) - math.log(2.0 * math.pi * x) - q.value)
 
 
 def _derivative_cot(p: GridPoint, acc: Accuracy) -> Evaluation:
     n, x = p.n, p.x
+    if n == 1 and x == 1.0:
+        raise DomainError("the derivative diverges like log(1-x) at n = 1, x = 1")
 
     def integrand(u: float) -> float:
         return weight(n, u) * cot_kernel(x, u)
 
-    q = integrate_de(integrand, acc)
-    return Evaluation(-q.value - 1.0, q.err_estimate, q.evaluations)
+    q = _moment(integrand, acc)
+    return replace(q, value=-q.value - 1.0)
 
 
 def _derivative_series(p: GridPoint, acc: Accuracy, constant_variant: str) -> Evaluation:
@@ -89,16 +85,16 @@ def _derivative_series(p: GridPoint, acc: Accuracy, constant_variant: str) -> Ev
     # terms decay at least geometrically at rate x^2, so the discarded tail
     # is below |last| * x^2 / (1 - x^2)
     tail = abs(terms[-1]) * x2 / (1.0 - x2)
-    return Evaluation(math.fsum(terms) + constant, tail, len(terms))
+    return Evaluation(math.fsum(terms) + constant, tail, len(terms), True)
 
 
-def _ladder_delta(n: int, x: float, acc: Accuracy) -> tuple[float, QuadResult]:
+def _ladder_delta(n: int, x: float, acc: Accuracy) -> Evaluation:
     def integrand(u: float) -> float:
         base = (1.0 - u) ** (n - 1)
         return ((n + 1) * (1.0 - u) - n) * base * log_sin_kernel(x, u)
 
-    q = integrate_de(integrand, acc)
-    return 1.0 / (n + 1) - q.value, q
+    q = _moment(integrand, acc)
+    return replace(q, value=1.0 / (n + 1) - q.value)
 
 
 def _via_ladder(p: GridPoint, acc: Accuracy) -> Evaluation:
@@ -106,12 +102,14 @@ def _via_ladder(p: GridPoint, acc: Accuracy) -> Evaluation:
     value = start.value
     err = start.err_estimate
     evaluations = start.evaluations
+    converged = start.converged
     for k in range(1, p.n):
-        delta, q = _ladder_delta(k, p.x, acc)
-        value += delta
-        err += q.err_estimate
-        evaluations += q.evaluations
-    return Evaluation(value, err, evaluations)
+        step = _ladder_delta(k, p.x, acc)
+        value += step.value
+        err += step.err_estimate
+        evaluations += step.evaluations
+        converged = converged and step.converged
+    return Evaluation(value, err, evaluations, converged)
 
 
 def evaluate(
@@ -120,21 +118,25 @@ def evaluate(
     acc: Accuracy = DEFAULT_ACCURACY,
     constant_variant: str = CONSTANT_CORRECTED,
 ) -> Evaluation:
-    """Evaluate the family (or its scaled derivative) by the named route."""
+    """Evaluate the family (or its scaled derivative) by the named route.
+
+    A NonConvergenceError carries the route's best estimate as its result."""
     if method == METHOD_INTEGRAL:
-        return _integral(p, acc)
-    if method == METHOD_LADDER:
-        return _via_ladder(p, acc)
-    if method == METHOD_DERIVATIVE_COT:
-        return _derivative_cot(p, acc)
-    if method == METHOD_DERIVATIVE_SERIES:
-        return _derivative_series(p, acc, constant_variant)
-    raise DomainError(f"method must be one of {METHODS}")
+        ev = _integral(p, acc)
+    elif method == METHOD_LADDER:
+        ev = _via_ladder(p, acc)
+    elif method == METHOD_DERIVATIVE_COT:
+        ev = _derivative_cot(p, acc)
+    elif method == METHOD_DERIVATIVE_SERIES:
+        ev = _derivative_series(p, acc, constant_variant)
+    else:
+        raise DomainError(f"method must be one of {METHODS}")
+    return _checked(ev)
 
 
 def eval_integral(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """Canonical value of the family at p, by the integral representation."""
-    return _integral(p, acc).value
+    return _checked(_integral(p, acc)).value
 
 
 def eval_derivative_cot(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -142,7 +144,7 @@ def eval_derivative_cot(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float
 
         -n int_0^1 (1-u)^(n-1) pi x u cot(pi x u) du - 1
     """
-    return _derivative_cot(p, acc).value
+    return _checked(_derivative_cot(p, acc)).value
 
 
 def eval_derivative_series(
@@ -173,12 +175,12 @@ def ladder_delta(n: int, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
         raise DomainError("n must satisfy n >= 1")
     if not 0.0 < x <= 1.0:
         raise DomainError("x must satisfy 0 < x <= 1")
-    return _ladder_delta(n, x, acc)[0]
+    return _checked(_ladder_delta(n, x, acc)).value
 
 
 def eval_via_ladder(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """Family value reached by climbing the ladder from order 1."""
-    return _via_ladder(p, acc).value
+    return _checked(_via_ladder(p, acc)).value
 
 
 def genfunc_closed(q: GenfuncPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:

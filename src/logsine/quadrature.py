@@ -38,17 +38,20 @@ _COT_SERIES_CUTOFF = 1e-4
 
 
 @dataclass(frozen=True)
-class QuadResult:
-    """Integral value with an a-posteriori error estimate.
+class Evaluation:
+    """A value, its accumulated error estimate, the integrand samples or
+    series terms it consumed, and whether every quadrature behind it met
+    its tolerance.
 
-    err_estimate is the absolute difference between the last two
-    refinement levels; on convergence it satisfies
+    For one integral, err_estimate is the absolute difference between the
+    last two refinement levels; on convergence it satisfies
     err_estimate <= quad_rel_tol * max(|value|, 1).
     """
 
     value: float
     err_estimate: float
     evaluations: int
+    converged: bool
 
 
 def log_sin_kernel(x: float, u: float) -> float:
@@ -123,7 +126,7 @@ def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
     return tuple(nodes)
 
 
-def integrate_de(f: Callable[[float], float], acc: Accuracy = DEFAULT_ACCURACY) -> QuadResult:
+def integrate_de(f: Callable[[float], float], acc: Accuracy = DEFAULT_ACCURACY) -> Evaluation:
     """Integrate f over (0, 1) by tanh-sinh refinement.
 
     The trapezoid step on the transformed axis is halved until the
@@ -131,8 +134,8 @@ def integrate_de(f: Callable[[float], float], acc: Accuracy = DEFAULT_ACCURACY) 
     or the refinement budget is exhausted.
 
     Raises NonFiniteSampleError if f returns a non-finite value, and
-    NonConvergenceError (carrying the best QuadResult) when the budget
-    runs out.
+    NonConvergenceError (carrying the best estimate as an Evaluation with
+    converged=False) when the budget runs out.
     """
     evaluations = 0
 
@@ -154,6 +157,7 @@ def integrate_de(f: Callable[[float], float], acc: Accuracy = DEFAULT_ACCURACY) 
     h = _H0
     value = h * level_sum(0)
     err = math.inf
+    converged = False
     for level in range(1, acc.max_quad_refinements + 1):
         h *= 0.5
         refined = 0.5 * value + h * level_sum(level)
@@ -163,8 +167,13 @@ def integrate_de(f: Callable[[float], float], acc: Accuracy = DEFAULT_ACCURACY) 
         # at least three refinements are always performed; the reported
         # estimate is then the difference of two already-accurate levels
         if level >= 3 and err <= acc.quad_rel_tol * max(abs(value), 1.0):
-            return QuadResult(value, err, evaluations)
-    raise NonConvergenceError(
-        "quadrature did not converge within the refinement budget",
-        QuadResult(value, err, evaluations),
-    )
+            converged = True
+            break
+    return _checked(Evaluation(value, err, evaluations, converged))
+
+
+def _checked(ev: Evaluation) -> Evaluation:
+    """ev itself if it converged; otherwise NonConvergenceError carrying it."""
+    if not ev.converged:
+        raise NonConvergenceError("quadrature did not converge within the refinement budget", ev)
+    return ev

@@ -4,6 +4,8 @@ Checks cover claims that are analytic consequences of the canonical
 integral definition; they must pass. Audits cover published claims that
 conflict with that definition (the reference value table, the small-x and
 large-n decay statements); they always complete and only report residuals.
+An audit row whose quadrature exhausts its budget reports the route's best
+estimate, and its oversized quad_err documents the difficulty.
 
 Each check is a pure function of its grid and accuracy budget, so two runs
 with the same inputs produce bit-identical reports.
@@ -16,11 +18,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint
-from .errors import DomainError, NonConvergenceError, QuadratureError
+from .errors import DomainError, QuadratureError
 from .family import (
     CONSTANT_AS_PRINTED,
     CONSTANT_CORRECTED,
-    Evaluation,
     _derivative_series,
     _integral,
     eval_derivative_cot,
@@ -174,18 +175,6 @@ def _record(label: str, thunk, residuals: list, failures: list) -> None:
 
 def _failure_note(failures: list) -> str:
     return "; evaluation failures: " + "; ".join(failures) if failures else ""
-
-
-def _integral_best(p: GridPoint, acc: Accuracy) -> Evaluation:
-    # audits are report-only and must always complete, so a quadrature that
-    # exhausts its budget contributes its best estimate; the oversized
-    # err_estimate it carries documents the difficulty on that row
-    try:
-        return _integral(p, acc)
-    except NonConvergenceError as exc:
-        q = exc.result
-        value = harmonic(p.n) - math.log(2.0 * math.pi * p.x) - q.value
-        return Evaluation(value, q.err_estimate, q.evaluations)
 
 
 def check_derivative(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
@@ -376,7 +365,7 @@ def audit_small_x(
         raise DomainError("xs must be strictly decreasing")
     rows = []
     for x in xs:
-        ev = _integral_best(GridPoint(n, x), acc)
+        ev = _integral(GridPoint(n, x), acc)
         ref = _reference(n, x)
         rows.append(
             AsymptoticRow(
@@ -419,7 +408,7 @@ def audit_large_n(
         raise DomainError("ns must be strictly increasing")
     rows = []
     for n in ns:
-        ev = _integral_best(GridPoint(n, x), acc)
+        ev = _integral(GridPoint(n, x), acc)
         ref = _reference(n, x)
         rows.append(
             AsymptoticRow(
@@ -451,7 +440,7 @@ def audit_table(acc: Accuracy = DEFAULT_ACCURACY) -> TableAudit:
     """
     rows = []
     for n, x, series_value, integral_value in PAPER_TABLE:
-        ev = _integral_best(GridPoint(n, x), acc)
+        ev = _integral(GridPoint(n, x), acc)
         rows.append(
             AuditRow(
                 n=n,

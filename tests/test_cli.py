@@ -6,11 +6,14 @@ import math
 import pytest
 
 import logsine.cli as cli
-from logsine import IdentityReport, NonConvergenceError, QuadResult
+from logsine import Evaluation, IdentityReport, NonConvergenceError
 
 G_1_HALF = 1.0 - math.log(math.pi)
 ZETA_3 = 1.2020569031595943
 G_2_HALF = 1.5 - math.log(math.pi) + 3.5 * ZETA_3 / math.pi**2
+G_3_HALF = 11.0 / 6.0 - math.log(math.pi) + 6.0 * ZETA_3 / math.pi**2
+# g(40, 1) from a 30-digit mpmath evaluation of the integral
+G_40_ONE = 4.88324646089990972661343507592
 
 
 def run(capsys, *argv):
@@ -72,13 +75,29 @@ class TestEval:
 
     def test_non_convergence_exit_3(self, capsys, monkeypatch):
         def raiser(*args, **kwargs):
-            raise NonConvergenceError("no convergence", QuadResult(1.25, 0.5, 77))
+            raise NonConvergenceError("no convergence", Evaluation(1.25, 0.5, 77, converged=False))
 
         monkeypatch.setattr(cli, "evaluate", raiser)
         code, out, err = run(capsys, "eval", "--n", "1", "--x", "0.5")
         assert code == 3
         assert "warning" in err
         assert float(parse_plain(out.splitlines()[0])["value"]) == 1.25
+
+    def test_non_convergence_prints_ladder_sum(self, capsys):
+        # one rung runs out of budget; the printed value is still g(3, 1/2)
+        code, out, err = run(
+            capsys, "eval", "--n", "3", "--x", "0.5", "--method", "ladder", "--quad-tol", "1e-17"
+        )
+        assert code == 3
+        assert "best estimate" in err
+        record = parse_plain(out.splitlines()[0])
+        assert float(record["value"]) == pytest.approx(G_3_HALF, abs=1e-9)
+
+    def test_cot_divergence_exit_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--n", "1", "--x", "1", "--method", "derivative-cot")
+        assert code == 2
+        assert out == ""
+        assert "diverges like log(1-x) at n = 1, x = 1" in err
 
     def test_max_terms_flag_reaches_series(self, capsys):
         code, out, _ = run(
@@ -126,6 +145,14 @@ class TestTable:
         _, out, _ = run(capsys, "table", "--n-list", "1", "--x-list", "0.5", "--format", "json-lines")
         record = json.loads(out.splitlines()[0])
         assert list(record) == list(cli.TABLE_HEADER)
+
+    def test_non_convergence_prints_integral_value(self, capsys):
+        code, out, err = run(capsys, "table", "--n-list", "40", "--x-list", "1", "--quad-tol", "1e-16")
+        assert code == 3
+        assert "warning: n=40 x=1 integral" in err
+        record = parse_plain(out.splitlines()[0])
+        assert float(record["g_integral"]) == pytest.approx(G_40_ONE, abs=1e-9)
+        assert float(record["abs_diff"]) < 1e-9
 
     def test_empty_list_exit_2(self, capsys):
         code, _, err = run(capsys, "table", "--n-list", "1", "--x-list", "")
@@ -197,7 +224,7 @@ class TestVerify:
 
     def test_escaped_non_convergence_exit_3(self, capsys, monkeypatch):
         def raiser(acc):
-            raise NonConvergenceError("no convergence", QuadResult(0.0, 1.0, 101))
+            raise NonConvergenceError("no convergence", Evaluation(0.0, 1.0, 101, converged=False))
 
         monkeypatch.setitem(cli.VERIFY_RUNNERS, "bernoulli_zeta", raiser)
         code, _, err = run(capsys, "verify", "--only", "bernoulli_zeta")

@@ -1,12 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
+import logsine.family as family
 from logsine import (
     Accuracy,
     DomainError,
+    Evaluation,
     GenfuncPoint,
     GridPoint,
+    NonConvergenceError,
     eval_derivative_cot,
     eval_derivative_series,
     eval_integral,
@@ -41,6 +45,11 @@ class TestGridPoint:
             GridPoint(1, 0.0)
         with pytest.raises(DomainError, match="x must satisfy 0 < x <= 1"):
             GridPoint(1, 1.0001)
+        with pytest.raises(DomainError, match="n must be an integer"):
+            GridPoint(1.5, 0.5)
+        with pytest.raises(DomainError, match="n must be an integer"):
+            GridPoint(True, 0.5)
+        assert eval_integral(GridPoint(np.int64(3), 0.5)) == eval_integral(GridPoint(3, 0.5))
 
 
 class TestIntegralRoute:
@@ -70,7 +79,62 @@ class TestIntegralRoute:
         assert ev.value == eval_integral(GridPoint(2, 0.7))
 
 
+# Too few refinements for a 1e-16 tolerance: every quadrature runs out of
+# budget after 401 samples, yet its best estimate is accurate to ~1e-14.
+STARVED = Accuracy(quad_rel_tol=1e-16, max_quad_refinements=5)
+
+
+class TestNonConvergence:
+    @pytest.mark.parametrize("method", ["integral", "ladder", "derivative-cot"])
+    def test_error_carries_route_level_best_estimate(self, method):
+        p = GridPoint(3, 0.5)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            evaluate(p, method=method, acc=STARVED)
+        best = excinfo.value.result
+        assert isinstance(best, Evaluation)
+        assert best.converged is False
+        assert best.value == pytest.approx(evaluate(p, method=method).value, abs=1e-9)
+
+    def test_ladder_evaluations_count_every_rung(self, monkeypatch):
+        samples = []
+        engine = family.integrate_de
+
+        def counting(f, acc):
+            try:
+                q = engine(f, acc)
+            except NonConvergenceError as exc:
+                q = exc.result
+                samples.append(q.evaluations)
+                raise
+            samples.append(q.evaluations)
+            return q
+
+        monkeypatch.setattr(family, "integrate_de", counting)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            evaluate(GridPoint(3, 0.5), method="ladder", acc=STARVED)
+        assert len(samples) == 3
+        assert excinfo.value.result.evaluations == sum(samples)
+
+    def test_converged_results_say_so(self):
+        assert evaluate(GridPoint(3, 0.5), method="ladder").converged is True
+        assert evaluate(GridPoint(3, 0.5), method="derivative-series").converged is True
+
+
 class TestDerivativeRoutes:
+    def test_cot_route_divergence_at_order_one_and_x_one(self, monkeypatch):
+        def no_quadrature(f, acc):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(family, "integrate_de", no_quadrature)
+        with pytest.raises(DomainError, match=r"diverges like log\(1-x\) at n = 1, x = 1"):
+            evaluate(GridPoint(1, 1.0), method="derivative-cot")
+        with pytest.raises(DomainError):
+            eval_derivative_cot(GridPoint(1, 1.0))
+
+    def test_cot_route_at_x_one_from_order_two(self):
+        # the weight's (1-u) factor cancels the log(1-u) divergence for n >= 2
+        assert eval_derivative_cot(GridPoint(2, 1.0)) == pytest.approx(-1.0, abs=1e-12)
+
     def test_cot_route_closed_form(self):
         assert eval_derivative_cot(GridPoint(1, 0.5)) == pytest.approx(
             DERIVATIVE_1_HALF, abs=1e-10
