@@ -19,24 +19,23 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     jobs = [
-        (["audit", "--out", str(out / "audits.txt")], "audits.txt"),
-        (["audit", "--only", "table", "--format", "csv", "--out", str(out / "table_audit.csv")], "table_audit.csv"),
-        (["audit", "--only", "small-x", "--format", "csv", "--out", str(out / "small_x_audit.csv")], "small_x_audit.csv"),
-        (["audit", "--only", "large-n", "--format", "csv", "--out", str(out / "large_n_audit.csv")], "large_n_audit.csv"),
-        (["verify", "--out", str(out / "verify.txt")], "verify.txt"),
+        (["audit"], "audits.txt"),
+        (["audit", "--only", "table", "--format", "csv"], "table_audit.csv"),
+        (["audit", "--only", "small-x", "--format", "csv"], "small_x_audit.csv"),
+        (["audit", "--only", "large-n", "--format", "csv"], "large_n_audit.csv"),
+        (["verify"], "verify.txt"),
         (
             [
                 "table",
                 "--n-list", ",".join(str(n) for n in range(1, 11)),
                 "--x-list", ",".join(f"{i / 10:.1f}" for i in range(1, 11)),
                 "--format", "csv",
-                "--out", str(out / "grid.csv"),
             ],
             "grid.csv",
         ),
     ]
     for argv, name in jobs:
-        code = logsine(argv)
+        code = logsine(argv + ["--out", str(out / name)])
         print(f"{name}: exit {code}")
     print(f"bundle written to {out}/")
 

@@ -79,7 +79,26 @@ DEFAULT_VERIFY_SUITE = (
     ID_BERNOULLI_ZETA,
 )
 
-AUDIT_NAMES = ("table", "small-x", "large-n")
+# Audits runnable by `audit`, in emission order, with the columns each
+# prints after "audit". A column names an attribute of the audit's rows,
+# except that the asymptotic audits print `scaled` under a name that says
+# how it was scaled. The lambdas look the audit functions up at call time.
+_AUDITS = {
+    "table": (
+        lambda ns, acc: audit_table(acc),
+        ("n", "x", "paper_series_value", "paper_integral_value", "computed_value", "residual_vs_paper", "quad_err"),
+    ),
+    "small-x": (
+        lambda ns, acc: audit_small_x(n=ns.n, acc=acc),
+        ("n", "x", "value", "value_over_x2", "reference", "gap", "quad_err"),
+    ),
+    "large-n": (
+        lambda ns, acc: audit_large_n(x=ns.x, acc=acc),
+        ("n", "x", "value", "n_times_value", "reference", "gap", "quad_err"),
+    ),
+}
+AUDIT_NAMES = tuple(_AUDITS)
+_SCALED_COLUMNS = ("value_over_x2", "n_times_value")
 
 
 def fmt(value) -> str:
@@ -124,18 +143,19 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(ns, header, rows, plain_trailer=()) -> None:
+def _record_lines(output_format, header, rows) -> list[str]:
+    # one json-lines or plain record per row
+    if output_format == "json-lines":
+        return [_json_line(zip(header, row)) for row in rows]
+    return [" ".join(f"{k}={fmt(v)}" for k, v in zip(header, row)) for row in rows]
+
+
+def _emit_rows(ns, header, rows) -> None:
     """Emit one uniform record set in the selected format."""
     if ns.format == "csv":
-        text = _csv_text(header, rows)
-    elif ns.format == "json-lines":
-        lines = [_json_line(zip(header, row)) for row in rows]
-        text = "\n".join(lines) + "\n"
+        _write(_csv_text(header, rows), ns.out)
     else:
-        lines = [" ".join(f"{k}={fmt(v)}" for k, v in zip(header, row)) for row in rows]
-        lines.extend(plain_trailer)
-        text = "\n".join(lines) + "\n"
-    _write(text, ns.out)
+        _write("\n".join(_record_lines(ns.format, header, rows)) + "\n", ns.out)
 
 
 def _accuracy(ns):
@@ -197,35 +217,20 @@ def cmd_table(ns) -> int:
     return EXIT_OK if converged else EXIT_NONCONVERGENCE
 
 
-def _report_row(report):
-    return (
-        report.identity_id,
-        len(report.grid),
-        report.max_abs_residual,
-        report.tolerance,
-        report.passed,
-        report.notes,
-    )
-
-
 def cmd_verify(ns) -> int:
-    if ns.only:
-        suite = _split_selection(ns.only, IDENTITY_IDS, "identity id")
-    else:
-        suite = DEFAULT_VERIFY_SUITE
+    suite = _split_selection(ns.only, IDENTITY_IDS, "identity id") if ns.only else DEFAULT_VERIFY_SUITE
     acc = _accuracy(ns)
     reports = [VERIFY_RUNNERS[identity_id](acc) for identity_id in suite]
-    rows = [_report_row(r) for r in reports]
+    rows = [
+        (r.identity_id, len(r.grid), r.max_abs_residual, r.tolerance, r.passed, r.notes)
+        for r in reports
+    ]
     failed = [r.identity_id for r in reports if not r.passed]
     if ns.format == "plain":
         lines = []
-        for r in reports:
-            lines.append(f"identity: {r.identity_id}")
-            lines.append(f"  points: {len(r.grid)}")
-            lines.append(f"  max_abs_residual: {fmt(r.max_abs_residual)}")
-            lines.append(f"  tolerance: {fmt(r.tolerance)}")
-            lines.append(f"  passed: {fmt(r.passed)}")
-            lines.append(f"  notes: {r.notes}")
+        for row in rows:
+            lines.append(f"identity: {row[0]}")
+            lines.extend(f"  {k}: {fmt(v)}" for k, v in zip(REPORT_HEADER[1:], row[1:]))
         if failed:
             lines.append(f"FAILED: {len(failed)} of {len(reports)} checks failed: {', '.join(failed)}")
         else:
@@ -236,54 +241,29 @@ def cmd_verify(ns) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-def _audit_sections(ns, acc):
-    selected = _split_selection(ns.only, AUDIT_NAMES, "audit name") if ns.only else AUDIT_NAMES
-    sections = []
-    if "table" in selected:
-        audit = audit_table(acc)
-        header = ("audit", "n", "x", "paper_series_value", "paper_integral_value",
-                  "computed_value", "residual_vs_paper", "quad_err")
-        rows = [
-            ("table", r.n, r.x, r.paper_series_value, r.paper_integral_value,
-             r.computed_value, r.residual_vs_paper, r.quad_err)
-            for r in audit.rows
-        ]
-        sections.append(("table", header, rows, audit.summary))
-    if "small-x" in selected:
-        audit = audit_small_x(n=ns.n, acc=acc)
-        header = ("audit", "n", "x", "value", "value_over_x2", "reference", "gap", "quad_err")
-        rows = [
-            ("small-x", r.n, r.x, r.value, r.scaled, r.reference, r.gap, r.quad_err)
-            for r in audit.rows
-        ]
-        sections.append(("small-x", header, rows, audit.summary))
-    if "large-n" in selected:
-        audit = audit_large_n(x=ns.x, acc=acc)
-        header = ("audit", "n", "x", "value", "n_times_value", "reference", "gap", "quad_err")
-        rows = [
-            ("large-n", r.n, r.x, r.value, r.scaled, r.reference, r.gap, r.quad_err)
-            for r in audit.rows
-        ]
-        sections.append(("large-n", header, rows, audit.summary))
-    return sections
-
-
 def cmd_audit(ns) -> int:
     acc = _accuracy(ns)
-    sections = _audit_sections(ns, acc)
+    selected = _split_selection(ns.only, AUDIT_NAMES, "audit name") if ns.only else AUDIT_NAMES
     chunks = []
-    for kind, header, rows, summary in sections:
+    for kind in selected:
+        run, columns = _AUDITS[kind]
+        audit = run(ns, acc)
+        header = ("audit",) + columns
+        rows = [
+            (kind, *(getattr(r, "scaled" if c in _SCALED_COLUMNS else c) for c in columns))
+            for r in audit.rows
+        ]
         if ns.format == "csv":
             chunks.append(_csv_text(header, rows))
-        elif ns.format == "json-lines":
-            lines = [_json_line(zip(header, row)) for row in rows]
-            lines.append(_json_line([("audit", kind), ("summary", summary)]))
-            chunks.append("\n".join(lines) + "\n")
+            continue
+        if ns.format == "json-lines":
+            lines = _record_lines(ns.format, header, rows)
+            lines.append(_json_line([("audit", kind), ("summary", audit.summary)]))
         else:
             lines = [f"audit: {kind}"]
-            lines.extend("  " + " ".join(f"{k}={fmt(v)}" for k, v in zip(header[1:], row[1:])) for row in rows)
-            lines.append(f"  summary: {summary}")
-            chunks.append("\n".join(lines) + "\n")
+            lines.extend("  " + line for line in _record_lines(ns.format, columns, [row[1:] for row in rows]))
+            lines.append(f"  summary: {audit.summary}")
+        chunks.append("\n".join(lines) + "\n")
     _write("".join(chunks), ns.out)
     return EXIT_OK
 

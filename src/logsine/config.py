@@ -12,6 +12,14 @@ from numbers import Integral
 from .errors import DomainError
 
 
+def _require_int(name: str, value, minimum: int) -> None:
+    # bool is an Integral, but True as an order or a count is a caller's slip
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer")
+    if value < minimum:
+        raise DomainError(f"{name} must satisfy {name} >= {minimum}")
+
+
 @dataclass(frozen=True)
 class GridPoint:
     """One (order n, scale x) evaluation point of the moment family.
@@ -25,10 +33,7 @@ class GridPoint:
     x: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, Integral):
-            raise DomainError("n must be an integer")
-        if self.n < 1:
-            raise DomainError("n must satisfy n >= 1")
+        _require_int("n", self.n, 1)
         if not 0.0 < self.x <= 1.0:
             raise DomainError("x must satisfy 0 < x <= 1")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint
+from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _require_int
 from .errors import DomainError, NonConvergenceError
 from .quadrature import Evaluation, _checked, cot_kernel, integrate_de, log_sin_kernel, weight
 from .sequences import harmonic, zeta_even
@@ -171,11 +171,8 @@ def ladder_delta(n: int, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
 
         1/(n+1) - int_0^1 [(n+1)(1-u)^n - n(1-u)^(n-1)] log(2 sin(pi x u)) du
     """
-    if n < 1:
-        raise DomainError("n must satisfy n >= 1")
-    if not 0.0 < x <= 1.0:
-        raise DomainError("x must satisfy 0 < x <= 1")
-    return _checked(_ladder_delta(n, x, acc)).value
+    p = GridPoint(n, x)
+    return _checked(_ladder_delta(p.n, p.x, acc)).value
 
 
 def eval_via_ladder(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -203,21 +200,39 @@ def genfunc_closed(q: GenfuncPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     )
 
 
-def genfunc_partial(x: float, z: float, N: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """Partial sum sum_{n=1..N} g(n, x) z^n of the generating function."""
-    if N < 1:
-        raise DomainError("N must satisfy N >= 1")
-    point = GenfuncPoint(x, z)  # validates x and |z| <= 0.9
+# orders past N whose peak |g| bounds the generating-function tail
+_TAIL_PROBE = 20
+
+
+def _genfunc_orders(x: float, count: int, acc: Accuracy) -> list[float]:
+    # g(1, x), ..., g(count, x): the partial sum and the tail bound at one x
+    # read the same values whatever z they are taken at
+    return [eval_integral(GridPoint(n, x), acc) for n in range(1, count + 1)]
+
+
+def _partial_sum(values: list[float], z: float) -> float:
     zpow = 1.0
     terms = []
-    for n in range(1, N + 1):
-        zpow *= point.z
-        terms.append(eval_integral(GridPoint(n, x), acc) * zpow)
+    for g in values:
+        zpow *= z
+        terms.append(g * zpow)
     return math.fsum(terms)
 
 
+def _tail_bound(values: list[float], z: float, N: int) -> float:
+    peak = max(abs(g) for g in values)
+    return peak * abs(z) ** (N + 1) / (1.0 - abs(z))
+
+
+def genfunc_partial(x: float, z: float, N: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+    """Partial sum sum_{n=1..N} g(n, x) z^n of the generating function."""
+    _require_int("N", N, 1)
+    point = GenfuncPoint(x, z)  # validates x and |z| <= 0.9
+    return _partial_sum(_genfunc_orders(x, N, acc), point.z)
+
+
 def genfunc_tail_bound(
-    x: float, z: float, N: int, acc: Accuracy = DEFAULT_ACCURACY, probe: int = 20
+    x: float, z: float, N: int, acc: Accuracy = DEFAULT_ACCURACY, probe: int = _TAIL_PROBE
 ) -> float:
     """Empirical bound on the generating-function tail beyond N:
 
@@ -226,6 +241,7 @@ def genfunc_tail_bound(
     The peak is probed empirically rather than assumed from any claimed
     decay in n (the family in fact grows like 2 log n at fixed x).
     """
+    _require_int("N", N, 1)
+    _require_int("probe", probe, 0)
     GenfuncPoint(x, z)
-    peak = max(abs(eval_integral(GridPoint(n, x), acc)) for n in range(1, N + probe + 1))
-    return peak * abs(z) ** (N + 1) / (1.0 - abs(z))
+    return _tail_bound(_genfunc_orders(x, N + probe, acc), z, N)

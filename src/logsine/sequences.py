@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_ACCURACY, Accuracy
+from .config import DEFAULT_ACCURACY, Accuracy, _require_int
 from .errors import DomainError
 
 # Largest admissible m in B_{2m}; far beyond what any series here needs at
@@ -33,8 +33,7 @@ _PI_RATIONAL = Fraction(3141592653589793238462643383279502884197, 10**39)
 
 def harmonic(n: int) -> float:
     """Harmonic number: sum of 1/k for k = 1..n, compensated ascending sum."""
-    if n < 1:
-        raise DomainError("n must satisfy n >= 1")
+    _require_int("n", n, 1)
     return math.fsum(1.0 / k for k in range(1, n + 1))
 
 
@@ -57,8 +56,7 @@ def _bernoulli_table() -> tuple[Fraction, ...]:
 
 def bernoulli_even(m: int) -> Fraction:
     """B_{2m} as an exact rational, for 0 <= m <= BERNOULLI_MAX_INDEX."""
-    if m < 0:
-        raise DomainError("m must satisfy m >= 0")
+    _require_int("m", m, 0)
     if m > BERNOULLI_MAX_INDEX:
         raise DomainError(f"m must satisfy m <= {BERNOULLI_MAX_INDEX}")
     return _bernoulli_table()[2 * m]
@@ -73,8 +71,7 @@ def zeta_even_bernoulli(m: int) -> float:
     stand-in for pi) and rounded once, so the result stays above 1 and
     non-increasing all the way into the saturation plateau at 1.0.
     """
-    if m < 1:
-        raise DomainError("m must satisfy m >= 1")
+    _require_int("m", m, 1)
     rational = Fraction((-1) ** (m + 1) * 2 ** (2 * m - 1), math.factorial(2 * m))
     rational *= bernoulli_even(m) * _PI_RATIONAL ** (2 * m)
     return float(rational)
@@ -89,8 +86,7 @@ def zeta_even_direct(m: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     is the smallest integer with K^(-2m) < acc.series_abs_tol. Summation
     is chunked and pairwise (deterministic for a fixed chunk size).
     """
-    if m < 1:
-        raise DomainError("m must satisfy m >= 1")
+    _require_int("m", m, 1)
     s = 2 * m
     K = max(2, math.ceil(acc.series_abs_tol ** (-1.0 / s)))
     while float(K) ** -s >= acc.series_abs_tol:
@@ -111,8 +107,7 @@ def zeta_even_direct(m: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
 def zeta_even(m: int) -> float:
     """zeta(2m) for series work: Bernoulli route up to the rational cap,
     exactly 1.0 beyond it (the tail 2^(-2m) is then below double precision)."""
-    if m < 1:
-        raise DomainError("m must satisfy m >= 1")
+    _require_int("m", m, 1)
     if m <= BERNOULLI_MAX_INDEX:
         return zeta_even_bernoulli(m)
     return 1.0
@@ -139,8 +134,7 @@ def cot_partial(z: float, terms: int) -> float:
         raise DomainError("z must satisfy z != 0")
     if abs(z) >= 1.0:
         raise DomainError("z must satisfy |z| < 1")
-    if terms < 1:
-        raise DomainError("terms must satisfy terms >= 1")
+    _require_int("terms", terms, 1)
     if terms > BERNOULLI_MAX_INDEX:
         raise DomainError(f"terms must satisfy terms <= {BERNOULLI_MAX_INDEX}")
     zz = z * z

@@ -7,6 +7,11 @@ large-n decay statements); they always complete and only report residuals.
 An audit row whose quadrature exhausts its budget reports the route's best
 estimate, and its oversized quad_err documents the difficulty.
 
+Every check scores one residual per grid point through one runner, `_run`.
+A point whose evaluation fails (a domain error, a quadrature failure or an
+arithmetic error) never aborts the check: it scores an infinite residual,
+so the check fails, and the notes name the point and the error.
+
 Each check is a pure function of its grid and accuracy budget, so two runs
 with the same inputs produce bit-identical reports.
 """
@@ -17,19 +22,23 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint
+from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _require_int
 from .errors import DomainError, QuadratureError
 from .family import (
+    _TAIL_PROBE,
     CONSTANT_AS_PRINTED,
     CONSTANT_CORRECTED,
     _derivative_series,
+    _genfunc_orders,
     _integral,
+    _partial_sum,
+    _tail_bound,
     eval_derivative_cot,
     eval_integral,
     eval_via_ladder,
     genfunc_closed,
-    genfunc_partial,
-    genfunc_tail_bound,
+    genfunc_partial,  # noqa: F401  perfbench/spans.py wraps it here
+    genfunc_tail_bound,  # noqa: F401  perfbench/spans.py wraps it here
     ladder_delta,
 )
 from .sequences import harmonic, zeta_even_bernoulli, zeta_even_direct
@@ -138,101 +147,88 @@ class AsymptoticAudit:
     summary: str
 
 
-def _report(identity_id: str, grid, residuals, tolerance: float, notes: str) -> IdentityReport:
+_POINT_LABEL = "(n={0.n}, x={0.x:g})"
+
+
+def _run(identity_id: str, grid, label: str, residual, tolerance, notes) -> IdentityReport:
+    # label.format(point) names a failing point in the notes. tolerance and
+    # notes may be zero-argument callables, read after the last point, for
+    # checks whose budget or notes depend on what the points returned.
+    grid = tuple(grid)
+    if not grid:
+        raise DomainError("grid must be non-empty")
+    residuals: list[float] = []
+    failures: list[str] = []
+    for point in grid:
+        try:
+            residuals.append(residual(point))
+        except (DomainError, QuadratureError, ArithmeticError) as exc:
+            residuals.append(math.inf)
+            failures.append(f"{label.format(point)}: {exc}")
+    if callable(tolerance):
+        tolerance = tolerance()
+    if callable(notes):
+        notes = notes()
+    if failures:
+        notes += "; evaluation failures: " + "; ".join(failures)
     worst = max(residuals)
-    return IdentityReport(
-        identity_id=identity_id,
-        grid=tuple(grid),
-        max_abs_residual=worst,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
-        notes=notes,
-    )
+    return IdentityReport(identity_id, grid, worst, tolerance, worst <= tolerance, notes)
 
 
 def _coerce_grid(grid: Iterable) -> tuple[GridPoint, ...]:
     points = []
     for entry in grid:
-        if isinstance(entry, GridPoint):
-            points.append(entry)
-        else:
-            n, x = entry
-            points.append(GridPoint(int(n), float(x)))
-    if not points:
-        raise DomainError("grid must be non-empty")
+        if not isinstance(entry, GridPoint):
+            try:
+                n, x = entry
+                x = float(x)
+            except (TypeError, ValueError):
+                raise DomainError(f"grid entries must be (n, x) pairs, got {entry!r}") from None
+            entry = GridPoint(n, x)
+        points.append(entry)
     return tuple(points)
 
 
-def _record(label: str, thunk, residuals: list, failures: list) -> None:
-    # evaluation failures at single points never abort a report: they score
-    # an infinite residual (failing the check) and land in the notes
-    try:
-        residuals.append(thunk())
-    except (DomainError, QuadratureError, ArithmeticError) as exc:
-        residuals.append(math.inf)
-        failures.append(f"{label}: {exc}")
+def _fd_residual(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+    # central finite difference of the canonical route against the
+    # cotangent-average derivative, both as x * d/dx g
+    upper = eval_integral(GridPoint(p.n, p.x + FD_STEP), acc)
+    lower = eval_integral(GridPoint(p.n, p.x - FD_STEP), acc)
+    fd = p.x * (upper - lower) / (2.0 * FD_STEP)
+    return abs(fd - eval_derivative_cot(p, acc))
 
 
-def _failure_note(failures: list) -> str:
-    return "; evaluation failures: " + "; ".join(failures) if failures else ""
+def _ladder_residual(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+    diff = eval_integral(GridPoint(p.n + 1, p.x), acc) - eval_integral(p, acc)
+    return abs(diff - ladder_delta(p.n, p.x, acc))
+
+
+def _path_residual(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+    # ladder-climbed value against the direct integral, not scaled by 1/n
+    return abs(eval_via_ladder(p, acc) - eval_integral(p, acc))
 
 
 def check_derivative(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
     """Central finite difference of the canonical route against the
     cotangent-average derivative; tolerance 1e-6 from the O(h^2)
     finite-difference truncation at h = 1e-5 against a 1e-12 quadrature."""
-    points = _coerce_grid(grid)
-    residuals: list[float] = []
-    failures: list[str] = []
-
-    def residual(p: GridPoint) -> float:
-        upper = eval_integral(GridPoint(p.n, p.x + FD_STEP), acc)
-        lower = eval_integral(GridPoint(p.n, p.x - FD_STEP), acc)
-        fd = p.x * (upper - lower) / (2.0 * FD_STEP)
-        return abs(fd - eval_derivative_cot(p, acc))
-
-    for p in points:
-        _record(f"(n={p.n}, x={p.x:g})", lambda p=p: residual(p), residuals, failures)
-    notes = (
-        f"central difference step {FD_STEP:g}; tolerance from the O(h^2) truncation budget"
-        + _failure_note(failures)
-    )
-    return _report(ID_DERIVATIVE, points, residuals, TOL_DERIVATIVE, notes)
+    notes = f"central difference step {FD_STEP:g}; tolerance from the O(h^2) truncation budget"
+    return _run(ID_DERIVATIVE, _coerce_grid(grid), _POINT_LABEL, lambda p: _fd_residual(p, acc), TOL_DERIVATIVE, notes)
 
 
 def check_ladder(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
     """Direct difference g(n+1, x) - g(n, x) against the single-integral
     ladder step; tolerance 1e-8 from the three quadrature budgets involved."""
-    points = _coerce_grid(grid)
-    residuals: list[float] = []
-    failures: list[str] = []
-
-    def residual(p: GridPoint) -> float:
-        diff = eval_integral(GridPoint(p.n + 1, p.x), acc) - eval_integral(p, acc)
-        return abs(diff - ladder_delta(p.n, p.x, acc))
-
-    for p in points:
-        _record(f"(n={p.n}, x={p.x:g})", lambda p=p: residual(p), residuals, failures)
-    notes = "tolerance from the error budget of three 1e-12 quadratures" + _failure_note(failures)
-    return _report(ID_LADDER, points, residuals, TOL_LADDER, notes)
+    notes = "tolerance from the error budget of three 1e-12 quadratures"
+    return _run(ID_LADDER, _coerce_grid(grid), _POINT_LABEL, lambda p: _ladder_residual(p, acc), TOL_LADDER, notes)
 
 
 def check_path_equivalence(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
     """Ladder-climbed value against the direct integral; the per-point
     residual is divided by n so one tolerance covers the n accumulated
     quadrature budgets."""
-    points = _coerce_grid(grid)
-    residuals: list[float] = []
-    failures: list[str] = []
-    for p in points:
-        _record(
-            f"(n={p.n}, x={p.x:g})",
-            lambda p=p: abs(eval_via_ladder(p, acc) - eval_integral(p, acc)) / p.n,
-            residuals,
-            failures,
-        )
-    notes = "residuals scaled by 1/n; tolerance per accumulated quadrature budget" + _failure_note(failures)
-    return _report(ID_PATH, points, residuals, TOL_PATH, notes)
+    notes = "residuals scaled by 1/n; tolerance per accumulated quadrature budget"
+    return _run(ID_PATH, _coerce_grid(grid), _POINT_LABEL, lambda p: _path_residual(p, acc) / p.n, TOL_PATH, notes)
 
 
 def check_series_constant(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
@@ -246,39 +242,40 @@ def check_series_constant(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accurac
     points = _coerce_grid(grid)
     per_variant: dict[str, list[float]] = {CONSTANT_AS_PRINTED: [], CONSTANT_CORRECTED: []}
     capped = []
-    failures: list[str] = []
-    for p in points:
-        try:
-            reference = eval_derivative_cot(p, acc)
-            evs = {v: _derivative_series(p, acc, v) for v in per_variant}
-        except (DomainError, QuadratureError, ArithmeticError) as exc:
-            for bucket in per_variant.values():
-                bucket.append(math.inf)
-            failures.append(f"(n={p.n}, x={p.x:g}): {exc}")
-            continue
+
+    def chosen() -> str:
+        return min(per_variant, key=lambda v: per_variant[v][0])
+
+    def residual(p: GridPoint) -> float:
+        for bucket in per_variant.values():
+            bucket.append(math.inf)  # stays if the point fails
+        reference = eval_derivative_cot(p, acc)
+        evs = {v: _derivative_series(p, acc, v) for v in per_variant}
         for variant, bucket in per_variant.items():
-            bucket.append(abs(evs[variant].value - reference))
+            bucket[-1] = abs(evs[variant].value - reference)
         ev = evs[CONSTANT_CORRECTED]
         if ev.evaluations >= acc.max_series_terms and ev.err_estimate >= acc.series_abs_tol:
             capped.append(p)
-    first = {v: per_variant[v][0] for v in per_variant}
-    chosen = min(first, key=lambda v: first[v])
-    residuals = per_variant[chosen]
-    matches = {
-        v: sum(1 for r in per_variant[v] if r <= TOL_SERIES_CONSTANT) for v in per_variant
-    }
-    notes = (
-        f"matching variant: {chosen} (constant {-1.0 if chosen == CONSTANT_AS_PRINTED else -2.0:g}); "
-        f"per-variant match counts over {len(points)} points: "
-        f"as_printed={matches[CONSTANT_AS_PRINTED]}, corrected={matches[CONSTANT_CORRECTED]}"
-    )
-    if matches[chosen] != len(points):
-        notes += "; no single variant matches uniformly"
-    if capped:
-        capped_at = ", ".join(f"(n={p.n}, x={p.x:g})" for p in capped)
-        notes += f"; term cap {acc.max_series_terms} reached before the tail tolerance at {capped_at}"
-    notes += _failure_note(failures)
-    return _report(ID_SERIES_CONSTANT, points, residuals, TOL_SERIES_CONSTANT, notes)
+        return per_variant[chosen()][-1]
+
+    def notes() -> str:
+        best = chosen()
+        matches = {
+            v: sum(1 for r in per_variant[v] if r <= TOL_SERIES_CONSTANT) for v in per_variant
+        }
+        text = (
+            f"matching variant: {best} (constant {-1.0 if best == CONSTANT_AS_PRINTED else -2.0:g}); "
+            f"per-variant match counts over {len(points)} points: "
+            f"as_printed={matches[CONSTANT_AS_PRINTED]}, corrected={matches[CONSTANT_CORRECTED]}"
+        )
+        if matches[best] != len(points):
+            text += "; no single variant matches uniformly"
+        if capped:
+            capped_at = ", ".join(_POINT_LABEL.format(p) for p in capped)
+            text += f"; term cap {acc.max_series_terms} reached before the tail tolerance at {capped_at}"
+        return text
+
+    return _run(ID_SERIES_CONSTANT, points, _POINT_LABEL, residual, TOL_SERIES_CONSTANT, notes)
 
 
 def check_genfunc(
@@ -289,57 +286,67 @@ def check_genfunc(
 ) -> IdentityReport:
     """Closed form of the generating function against its order-N partial
     sum; tolerance 1e-8 plus the largest empirical geometric tail bound."""
-    if not xs or not zs:
-        raise DomainError("grid must be non-empty")
-    points = [GenfuncPoint(x, z) for x in xs for z in zs]  # validate up front
-    grid = [(p.x, p.z) for p in points]
-    residuals: list[float] = []
+    _require_int("N", N, 1)
+    grid = [(p.x, p.z) for p in (GenfuncPoint(x, z) for x in xs for z in zs)]  # validate up front
+    orders: dict[float, list[float]] = {}  # g(1..N+_TAIL_PROBE, x), shared by every z at x
     tails = [0.0]
-    failures: list[str] = []
 
-    def residual(p: GenfuncPoint) -> float:
-        closed = genfunc_closed(p, acc)
-        partial = genfunc_partial(p.x, p.z, N, acc)
-        tails.append(genfunc_tail_bound(p.x, p.z, N, acc))
-        return abs(closed - partial)
+    def residual(point: tuple[float, float]) -> float:
+        x, z = point
+        closed = genfunc_closed(GenfuncPoint(x, z), acc)
+        if x not in orders:
+            orders[x] = _genfunc_orders(x, N + _TAIL_PROBE, acc)
+        tails.append(_tail_bound(orders[x], z, N))
+        return abs(closed - _partial_sum(orders[x][:N], z))
 
-    for p in points:
-        _record(f"(x={p.x:g}, z={p.z:g})", lambda p=p: residual(p), residuals, failures)
-    tolerance = TOL_GENFUNC_BASE + max(tails)
-    notes = (
-        f"partial sums to N={N}; tolerance 1e-08 plus the largest empirical tail bound "
-        f"{max(tails):.3e} (peak |g| probed to n={N + 20}, no decay assumed)"
-        + _failure_note(failures)
+    return _run(
+        ID_GENFUNC, grid, "(x={0[0]:g}, z={0[1]:g})", residual, lambda: TOL_GENFUNC_BASE + max(tails),
+        lambda: f"partial sums to N={N}; tolerance 1e-08 plus the largest empirical tail bound "
+        f"{max(tails):.3e} (peak |g| probed to n={N + _TAIL_PROBE}, no decay assumed)",
     )
-    return _report(ID_GENFUNC, grid, residuals, tolerance, notes)
 
 
 def check_bernoulli_zeta(m_max: int = 30, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
     """Exact-rational Bernoulli route to zeta(2m) against direct summation;
     relative tolerance 1e-12 from the rounding budget of the rational route."""
-    if m_max < 1:
-        raise DomainError("m_max must satisfy m_max >= 1")
-    grid = tuple(range(1, m_max + 1))
-    residuals: list[float] = []
-    failures: list[str] = []
+    _require_int("m_max", m_max, 1)
 
     def residual(m: int) -> float:
         direct = zeta_even_direct(m, acc)
         return abs(zeta_even_bernoulli(m) - direct) / direct
 
-    for m in grid:
-        _record(f"m={m}", lambda m=m: residual(m), residuals, failures)
-    notes = (
-        "relative residuals; tolerance from the rounding budget of the exact-rational route"
-        + _failure_note(failures)
+    notes = "relative residuals; tolerance from the rounding budget of the exact-rational route"
+    return _run(ID_BERNOULLI_ZETA, range(1, m_max + 1), "m={0}", residual, TOL_BERNOULLI_ZETA, notes)
+
+
+def _asymptotic_audit(kind: str, points, scale, axis: str, claim: str, acc: Accuracy) -> AsymptoticAudit:
+    # one row per point; scale(p, g) is the scaled column and axis ("x" or
+    # "n") the abscissa of the log-log slope
+    rows = []
+    for p in points:
+        n, x = p.n, p.x
+        ev = _integral(p, acc)
+        # 2 H_n - 2 log(2 pi x): the value the family approaches both as
+        # x -> 0+ at fixed n and as n -> infinity at fixed x
+        ref = 2.0 * harmonic(n) - 2.0 * math.log(2.0 * math.pi * x)
+        rows.append(
+            AsymptoticRow(
+                n=n,
+                x=x,
+                value=ev.value,
+                scaled=scale(p, ev.value),
+                reference=ref,
+                gap=ev.value - ref,
+                quad_err=ev.err_estimate,
+            )
+        )
+    slope = _log_slope([(float(getattr(r, axis)), r.value) for r in rows])
+    summary = (
+        f"log-log slope of |g| vs {axis} over {len(rows)} rows: {slope:.4f} "
+        f"({claim}); the gap column shows g tracking "
+        f"2*H_n - 2*log(2*pi*x) instead"
     )
-    return _report(ID_BERNOULLI_ZETA, grid, residuals, TOL_BERNOULLI_ZETA, notes)
-
-
-def _reference(n: int, x: float) -> float:
-    # 2 H_n - 2 log(2 pi x): the value the family approaches both as
-    # x -> 0+ at fixed n and as n -> infinity at fixed x.
-    return 2.0 * harmonic(n) - 2.0 * math.log(2.0 * math.pi * x)
+    return AsymptoticAudit(kind=kind, rows=tuple(rows), log_slope=slope, summary=summary)
 
 
 def audit_small_x(
@@ -355,36 +362,15 @@ def audit_small_x(
     conflicts with the canonical definition, which grows like
     -2 log x.
     """
-    if n < 1:
-        raise DomainError("n must satisfy n >= 1")
     if not xs:
         raise DomainError("xs must be non-empty")
-    if any(not 0.0 < x <= 1.0 for x in xs):
-        raise DomainError("every x must satisfy 0 < x <= 1")
+    points = [GridPoint(n, x) for x in xs]
     if any(b >= a for a, b in zip(xs, xs[1:])):
         raise DomainError("xs must be strictly decreasing")
-    rows = []
-    for x in xs:
-        ev = _integral(GridPoint(n, x), acc)
-        ref = _reference(n, x)
-        rows.append(
-            AsymptoticRow(
-                n=n,
-                x=x,
-                value=ev.value,
-                scaled=ev.value / (x * x),
-                reference=ref,
-                gap=ev.value - ref,
-                quad_err=ev.err_estimate,
-            )
-        )
-    slope = _log_slope([(r.x, r.value) for r in rows])
-    summary = (
-        f"log-log slope of |g| vs x over {len(rows)} rows: {slope:.4f} "
-        f"(a quadratic decay would give 2); the gap column shows g tracking "
-        f"2*H_n - 2*log(2*pi*x) instead"
+    return _asymptotic_audit(
+        "small-x", points, lambda p, g: g / (p.x * p.x), "x",
+        "a quadratic decay would give 2", acc,
     )
-    return AsymptoticAudit(kind="small-x", rows=tuple(rows), log_slope=slope, summary=summary)
 
 
 def audit_large_n(
@@ -398,36 +384,15 @@ def audit_large_n(
     their gap per row. No pass/fail: the weight concentrates at u = 0 as
     n grows, so the family grows like 2 log n instead of decaying.
     """
-    if not 0.0 < x <= 1.0:
-        raise DomainError("x must satisfy 0 < x <= 1")
     if not ns:
         raise DomainError("ns must be non-empty")
-    if any(n < 1 for n in ns):
-        raise DomainError("every n must satisfy n >= 1")
+    points = [GridPoint(n, x) for n in ns]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("ns must be strictly increasing")
-    rows = []
-    for n in ns:
-        ev = _integral(GridPoint(n, x), acc)
-        ref = _reference(n, x)
-        rows.append(
-            AsymptoticRow(
-                n=n,
-                x=x,
-                value=ev.value,
-                scaled=n * ev.value,
-                reference=ref,
-                gap=ev.value - ref,
-                quad_err=ev.err_estimate,
-            )
-        )
-    slope = _log_slope([(float(r.n), r.value) for r in rows])
-    summary = (
-        f"log-log slope of |g| vs n over {len(rows)} rows: {slope:.4f} "
-        f"(a 1/n decay would give -1); the gap column shows g tracking "
-        f"2*H_n - 2*log(2*pi*x) instead"
+    return _asymptotic_audit(
+        "large-n", points, lambda p, g: p.n * g, "n",
+        "a 1/n decay would give -1", acc,
     )
-    return AsymptoticAudit(kind="large-n", rows=tuple(rows), log_slope=slope, summary=summary)
 
 
 def audit_table(acc: Accuracy = DEFAULT_ACCURACY) -> TableAudit:

@@ -11,6 +11,10 @@ from logsine import (
     GenfuncPoint,
     GridPoint,
     NonConvergenceError,
+    bernoulli_even,
+    check_bernoulli_zeta,
+    check_genfunc,
+    cot_partial,
     eval_derivative_cot,
     eval_derivative_series,
     eval_integral,
@@ -19,7 +23,10 @@ from logsine import (
     genfunc_closed,
     genfunc_partial,
     genfunc_tail_bound,
+    harmonic,
     ladder_delta,
+    zeta_even_bernoulli,
+    zeta_even_direct,
 )
 
 # Apery's constant zeta(3), exact to double precision
@@ -50,6 +57,31 @@ class TestGridPoint:
         with pytest.raises(DomainError, match="n must be an integer"):
             GridPoint(True, 0.5)
         assert eval_integral(GridPoint(np.int64(3), 0.5)) == eval_integral(GridPoint(3, 0.5))
+
+
+class TestIntegerArguments:
+    # orders, counts and indices follow GridPoint's rule: a float or a bool
+    # is a DomainError, never a stray TypeError or a silently truncated value
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: ladder_delta(1.5, 0.5), id="ladder_delta(1.5, 0.5)"),
+            pytest.param(lambda: ladder_delta(True, 0.5), id="ladder_delta(True, 0.5)"),
+            pytest.param(lambda: genfunc_partial(0.5, 0.3, 2.5), id="genfunc_partial(0.5, 0.3, 2.5)"),
+            pytest.param(lambda: genfunc_tail_bound(0.5, 0.3, 2.5), id="genfunc_tail_bound(0.5, 0.3, 2.5)"),
+            pytest.param(lambda: genfunc_tail_bound(0.5, 0.3, 10, probe=2.5), id="genfunc_tail_bound(0.5, 0.3, 10, probe=2.5)"),
+            pytest.param(lambda: check_genfunc(N=2.5), id="check_genfunc(N=2.5)"),
+            pytest.param(lambda: check_bernoulli_zeta(2.5), id="check_bernoulli_zeta(2.5)"),
+            pytest.param(lambda: harmonic(1.5), id="harmonic(1.5)"),
+            pytest.param(lambda: bernoulli_even(1.5), id="bernoulli_even(1.5)"),
+            pytest.param(lambda: zeta_even_bernoulli(1.5), id="zeta_even_bernoulli(1.5)"),
+            pytest.param(lambda: zeta_even_direct(1.5), id="zeta_even_direct(1.5)"),
+            pytest.param(lambda: cot_partial(0.1, 2.5), id="cot_partial(0.1, 2.5)"),
+        ],
+    )
+    def test_non_integer_rejected(self, call):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
 
 
 class TestIntegralRoute:

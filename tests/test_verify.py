@@ -64,6 +64,20 @@ class TestChecks:
         with pytest.raises(DomainError, match="x must satisfy 0 < x <= 1"):
             check_ladder(grid=[(1, 0.5), (2, 1.5)])
 
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ((1.9, 0.5), "n must be an integer"),
+            ((True, 0.5), "n must be an integer"),
+            (1, r"\(n, x\) pairs"),
+            ((1, 0.5, 2), r"\(n, x\) pairs"),
+            ((1, "half"), r"\(n, x\) pairs"),
+        ],
+    )
+    def test_grid_entries_follow_grid_point_rules(self, entry, message):
+        with pytest.raises(DomainError, match=message):
+            check_ladder(grid=[entry])
+
     def test_path_equivalence_passes(self):
         report = check_path_equivalence()
         assert report.passed
@@ -86,6 +100,21 @@ class TestChecks:
         assert report.passed
         assert report.tolerance >= 1e-8
         assert len(report.grid) == 8
+
+    def test_genfunc_evaluates_each_integral_once(self, monkeypatch):
+        import logsine.family as family
+
+        calls = []
+        integrate_de = family.integrate_de
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return integrate_de(*args, **kwargs)
+
+        monkeypatch.setattr(family, "integrate_de", counting)
+        check_genfunc()
+        # 2 xs * 80 orders (partial sums to 60, tail probe to 80) + 8 closed forms
+        assert len(calls) == 168
 
     def test_genfunc_accepts_zero_z(self):
         report = check_genfunc(xs=(0.5,), zs=(0.0, 0.3))
