@@ -72,12 +72,11 @@ def _derivative_series(p: GridPoint, acc: Accuracy, constant_variant: str) -> Ev
     n = p.n
     x2 = p.x * p.x
     xpow = 1.0
+    ratio = 1.0  # n! (2m)! / (2m+n)!, which is 1 at m = 0
     terms: list[float] = []
     for m in range(1, acc.max_series_terms + 1):
         xpow *= x2
-        ratio = 1.0
-        for j in range(1, n + 1):
-            ratio *= j / (2 * m + j)
+        ratio *= (2 * m - 1) * (2 * m) / ((2 * m - 1 + n) * (2 * m + n))
         term = 2.0 * ratio * zeta_even(m) * xpow
         terms.append(term)
         if abs(term) < acc.series_abs_tol:
@@ -160,8 +159,8 @@ def eval_derivative_series(
     constants are mutually inconsistent; substituting the cotangent
     expansion into the integral route yields -2, and the verification
     harness confirms which variant tracks the canonical derivative. The
-    factorial ratio is accumulated as prod_j j/(2m+j), never through
-    explicit factorials.
+    factorial ratio n! (2m)!/(2m+n)! is updated from one m to the next by
+    (2m-1)(2m)/((2m-1+n)(2m+n)), never through explicit factorials.
     """
     return _derivative_series(p, acc, constant_variant).value
 

@@ -1,9 +1,11 @@
 """Foundational sequences: harmonic numbers, exact Bernoulli numbers, even
-zeta values by two independent routes, and the truncated cotangent expansion.
+zeta values by two independent routes (the exact-rational Bernoulli formula
+and a direct sum with an Euler-Maclaurin end correction), and the truncated
+cotangent expansion.
 
-All functions are pure. The Bernoulli memo is an immutable tuple stored
-after it is fully built, so concurrent readers never observe a partial
-table.
+All functions are pure and use only the standard library. The Bernoulli
+memo is an immutable tuple stored after it is fully built, so concurrent
+readers never observe a partial table.
 """
 
 from __future__ import annotations
@@ -12,16 +14,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .config import DEFAULT_ACCURACY, Accuracy, _require_int
 from .errors import DomainError
 
 # Largest admissible m in B_{2m}; far beyond what any series here needs at
 # x <= 1, while keeping the exact rationals small.
 BERNOULLI_MAX_INDEX = 64
-
-_DIRECT_SUM_CHUNK = 1 << 22
 
 # 40-digit rational approximation of pi. Raising it to the 2m-th power
 # inside the exact-rational zeta computation keeps the relative error near
@@ -77,30 +75,34 @@ def zeta_even_bernoulli(m: int) -> float:
     return float(rational)
 
 
-@lru_cache(maxsize=None)
 def zeta_even_direct(m: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """zeta(2m) by direct summation with an integral tail correction.
+    """zeta(2m) by direct summation with an Euler-Maclaurin end correction
+    (Abramowitz & Stegun 23.1.30).
 
-    Sums k^(-2m) for k = 1..K and adds int_K^inf t^(-2m) dt
-    = K^(1-2m)/(2m-1). The correction's own error is below K^(-2m), so K
-    is the smallest integer with K^(-2m) < acc.series_abs_tol. Summation
-    is chunked and pairwise (deterministic for a fixed chunk size).
+    With s = 2m, sums k^(-s) for k < K and adds the integral tail
+    K^(1-s)/(s-1), the half endpoint K^(-s)/2 and the corrections
+    s K^(-s-1)/12 - s(s+1)(s+2) K^(-s-3)/720, all in one exactly rounded
+    sum. The derivatives of k^(-s) keep one sign, so the first omitted
+    term s(s+1)(s+2)(s+3)(s+4) K^(-s-5)/30240 bounds the error, and K is
+    the smallest integer that puts it below acc.series_abs_tol (K = 82 at
+    m = 1 by default). The coefficients are literals: this route must not
+    read the Bernoulli table it is checked against.
     """
     _require_int("m", m, 1)
     s = 2 * m
-    K = max(2, math.ceil(acc.series_abs_tol ** (-1.0 / s)))
-    while float(K) ** -s >= acc.series_abs_tol:
+    first_omitted = s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / 30240
+    K = math.ceil((first_omitted / acc.series_abs_tol) ** (1.0 / (s + 5)))
+    while first_omitted * float(K) ** (-s - 5) >= acc.series_abs_tol:
         K += 1
-    total = 0.0
-    for start in range(1, K + 1, _DIRECT_SUM_CHUNK):
-        k = np.arange(start, min(start + _DIRECT_SUM_CHUNK, K + 1), dtype=np.float64)
-        if s == 2:
-            np.multiply(k, k, out=k)
-            np.reciprocal(k, out=k)
-        else:
-            np.power(k, -float(s), out=k)
-        total += float(np.sum(k))
-    return total + float(K) ** (1 - s) / (s - 1)
+    k = float(K)
+    terms = [float(j) ** -s for j in range(1, K)]
+    terms += [
+        k ** (1 - s) / (s - 1),
+        k**-s / 2,
+        s * k ** (-s - 1) / 12,
+        -s * (s + 1) * (s + 2) * k ** (-s - 3) / 720,
+    ]
+    return math.fsum(terms)
 
 
 @lru_cache(maxsize=None)
@@ -111,15 +113,6 @@ def zeta_even(m: int) -> float:
     if m <= BERNOULLI_MAX_INDEX:
         return zeta_even_bernoulli(m)
     return 1.0
-
-
-@lru_cache(maxsize=None)
-def _cot_coefficient(m: int) -> float:
-    # (-1)^m 2^(2m) B_{2m} pi^(2m) / (2m)!, the z^(2m-1) coefficient of the
-    # Bernoulli expansion of pi*cot(pi*z); algebraically -2 zeta(2m).
-    rational = Fraction((-1) ** m * 2 ** (2 * m), math.factorial(2 * m))
-    rational *= bernoulli_even(m) * _PI_RATIONAL ** (2 * m)
-    return float(rational)
 
 
 def cot_partial(z: float, terms: int) -> float:
@@ -141,6 +134,7 @@ def cot_partial(z: float, terms: int) -> float:
     power = z
     parts = [1.0 / z]
     for m in range(1, terms + 1):
-        parts.append(_cot_coefficient(m) * power)
+        # the z^(2m-1) coefficient of the expansion is -2 zeta(2m)
+        parts.append(-2.0 * zeta_even(m) * power)
         power *= zz
     return math.fsum(parts)

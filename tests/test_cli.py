@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -265,3 +267,31 @@ class TestAudit:
         assert len(rows) == 5  # 4 data rows + 1 summary object
         assert rows[0]["audit"] == "table"
         assert "summary" in rows[-1]
+
+
+def run_python(code):
+    # a fresh interpreter, which finds logsine where this one did
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
+class TestWithoutNumpy:
+    def test_every_command_runs_with_numpy_blocked(self):
+        # a None entry in sys.modules makes every `import numpy` raise ImportError
+        result = run_python(
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import logsine.cli as cli\n"
+            "codes = [cli.main(argv) for argv in (\n"
+            "    ['verify'],\n"
+            "    ['audit'],\n"
+            "    ['eval', '--n', '2', '--x', '0.5', '--method', 'derivative-series'],\n"
+            "    ['table', '--n-list', '1,2', '--x-list', '0.5,1'],\n"
+            ")]\n"
+            "sys.exit(0 if codes == [0, 0, 0, 0] else f'exit codes {codes}')\n"
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_import_does_not_load_numpy(self):
+        result = run_python("import sys, logsine; print('numpy' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

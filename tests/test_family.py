@@ -193,6 +193,13 @@ class TestDerivativeRoutes:
         series = eval_derivative_series(p, constant_variant="corrected")
         assert series == pytest.approx(eval_derivative_cot(p), abs=1e-9)
 
+    @pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
+    def test_series_corrected_matches_cot_at_large_order(self, x):
+        # the factorial ratio is updated once per term, whatever n is
+        p = GridPoint(10**5, x)
+        series = eval_derivative_series(p, constant_variant="corrected")
+        assert series == pytest.approx(eval_derivative_cot(p), abs=1e-9)
+
     def test_series_as_printed_differs_by_one(self):
         p = GridPoint(1, 0.5)
         printed = eval_derivative_series(p, constant_variant="as_printed")
