@@ -28,8 +28,10 @@ from .family import (
     METHOD_LADDER,
     METHODS,
     Evaluation,
+    _ladder_path,
     evaluate,
 )
+from .quadrature import _checked
 from .verify import (
     ID_BERNOULLI_ZETA,
     ID_DERIVATIVE,
@@ -182,17 +184,19 @@ def _split_selection(raw, valid, what) -> tuple[str, ...]:
     return tuple(name for name in valid if name in names)
 
 
-def _best_estimate(p, method, acc, constant_variant=CONSTANT_CORRECTED) -> Evaluation:
+def _best_estimate(p, method, run) -> Evaluation:
     # a route that runs out of budget still yields its best estimate
     try:
-        return evaluate(p, method=method, acc=acc, constant_variant=constant_variant)
+        return run()
     except NonConvergenceError as exc:
         print(f"warning: n={p.n} x={fmt(p.x)} {method}: {exc}; best estimate printed", file=sys.stderr)
         return exc.result
 
 
 def cmd_eval(ns) -> int:
-    ev = _best_estimate(GridPoint(ns.n, ns.x), ns.method, _accuracy(ns), ns.constant)
+    p = GridPoint(ns.n, ns.x)
+    acc = _accuracy(ns)
+    ev = _best_estimate(p, ns.method, lambda: evaluate(p, method=ns.method, acc=acc, constant_variant=ns.constant))
     row = (ns.n, ns.x, ns.method, ev.value, ev.err_estimate, ev.evaluations)
     _emit_rows(ns, EVAL_HEADER, [row])
     return EXIT_OK if ev.converged else EXIT_NONCONVERGENCE
@@ -203,11 +207,15 @@ def cmd_table(ns) -> int:
         raise DomainError("n-list and x-list must be non-empty")
     points = [GridPoint(n, x) for n in ns.n_list for x in ns.x_list]
     acc = _accuracy(ns)
+    n_max = max(ns.n_list)
+    paths = {}  # x -> g(1..n_max, x), climbed once at the first row with that x
     converged = True
     rows = []
     for p in points:
-        integral = _best_estimate(p, METHOD_INTEGRAL, acc)
-        ladder = _best_estimate(p, METHOD_LADDER, acc)
+        integral = _best_estimate(p, METHOD_INTEGRAL, lambda: evaluate(p, method=METHOD_INTEGRAL, acc=acc))
+        if p.x not in paths:
+            paths[p.x] = _ladder_path(p.x, n_max, acc)
+        ladder = _best_estimate(p, METHOD_LADDER, lambda: _checked(paths[p.x][p.n - 1]))
         converged = converged and integral.converged and ladder.converged
         rows.append(
             (p.n, p.x, integral.value, ladder.value,

@@ -6,8 +6,9 @@ can be evaluated concurrently without shared state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 from .errors import DomainError
 
@@ -18,6 +19,12 @@ def _require_int(name: str, value, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer")
     if value < minimum:
         raise DomainError(f"{name} must satisfy {name} >= {minimum}")
+
+
+def _require_tolerance(name: str, value) -> None:
+    # a NaN tolerance is never met and an infinite one always is
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -66,14 +73,10 @@ class Accuracy:
     max_quad_refinements: int = 12
 
     def __post_init__(self) -> None:
-        if self.quad_rel_tol <= 0.0:
-            raise DomainError("quad_rel_tol must be strictly positive")
-        if self.series_abs_tol <= 0.0:
-            raise DomainError("series_abs_tol must be strictly positive")
-        if self.max_series_terms < 1:
-            raise DomainError("max_series_terms must satisfy max_series_terms >= 1")
-        if self.max_quad_refinements < 1:
-            raise DomainError("max_quad_refinements must satisfy max_quad_refinements >= 1")
+        _require_tolerance("quad_rel_tol", self.quad_rel_tol)
+        _require_tolerance("series_abs_tol", self.series_abs_tol)
+        _require_int("max_series_terms", self.max_series_terms, 1)
+        _require_int("max_quad_refinements", self.max_quad_refinements, 1)
 
 
 DEFAULT_ACCURACY = Accuracy()

@@ -96,19 +96,24 @@ def _ladder_delta(n: int, x: float, acc: Accuracy) -> Evaluation:
     return replace(q, value=1.0 / (n + 1) - q.value)
 
 
+def _ladder_path(x: float, n_max: int, acc: Accuracy) -> list[Evaluation]:
+    # g(1, x), ..., g(n_max, x) from one climb: each rung adds one ladder
+    # step to the rung below, so every prefix sums in the same order as a
+    # climb that stops there
+    path = [_integral(GridPoint(1, x), acc)]
+    for k in range(1, n_max):
+        below, step = path[-1], _ladder_delta(k, x, acc)
+        path.append(Evaluation(
+            below.value + step.value,
+            below.err_estimate + step.err_estimate,
+            below.evaluations + step.evaluations,
+            below.converged and step.converged,
+        ))
+    return path
+
+
 def _via_ladder(p: GridPoint, acc: Accuracy) -> Evaluation:
-    start = _integral(GridPoint(1, p.x), acc)
-    value = start.value
-    err = start.err_estimate
-    evaluations = start.evaluations
-    converged = start.converged
-    for k in range(1, p.n):
-        step = _ladder_delta(k, p.x, acc)
-        value += step.value
-        err += step.err_estimate
-        evaluations += step.evaluations
-        converged = converged and step.converged
-    return Evaluation(value, err, evaluations, converged)
+    return _ladder_path(p.x, p.n, acc)[-1]
 
 
 def evaluate(

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import logsine.cli as cli
-from logsine import Evaluation, IdentityReport, NonConvergenceError
+import logsine.family as family
+from logsine import Accuracy, Evaluation, GridPoint, IdentityReport, NonConvergenceError, evaluate
 
 G_1_HALF = 1.0 - math.log(math.pi)
 ZETA_3 = 1.2020569031595943
@@ -117,6 +118,20 @@ class TestEval:
         assert code == 0
         assert float(parse_plain(out.splitlines()[0])["value"]) == pytest.approx(G_1_HALF, abs=1e-7)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--quad-tol", "nan"),
+            ("--quad-tol", "inf"),
+            ("--series-tol", "nan", "--method", "derivative-series"),
+        ],
+    )
+    def test_tolerance_not_finite_exit_2(self, capsys, flags):
+        code, out, err = run(capsys, "eval", "--n", "2", "--x", "0.5", *flags)
+        assert code == 2
+        assert out == ""
+        assert "must be finite and strictly positive" in err
+
     def test_series_route_rejects_x_equal_one(self, capsys):
         code, _, err = run(capsys, "eval", "--n", "1", "--x", "1", "--method", "derivative-series")
         assert code == 2
@@ -175,6 +190,66 @@ class TestTable:
         assert code == 0
         assert out == ""
         assert target.read_text().splitlines()[0] == "n,x,g_integral,g_ladder,abs_diff,quad_err"
+
+
+def table_rows(monkeypatch, *argv):
+    # the unformatted rows of one `table` run, so columns compare bit for bit
+    rows = []
+    monkeypatch.setattr(cli, "_emit_rows", lambda ns, header, emitted: rows.extend(emitted))
+    code = cli.main(["table", *argv])
+    return code, rows
+
+
+def warning_prefixes(err):
+    # "warning: n=N x=X route:" of every warning line, in stream order
+    return [" ".join(line.split()[:4]) for line in err.splitlines()]
+
+
+class TestTableLadderClimb:
+    # one ladder climb per distinct x serves every row at that x
+    def test_ladder_column_matches_the_ladder_route(self, monkeypatch):
+        code, rows = table_rows(monkeypatch, "--n-list", "3,1,2,3", "--x-list", "0.5,0.5,0.25")
+        assert code == 0
+        assert [(n, x) for n, x, *_ in rows] == [(n, x) for n in (3, 1, 2, 3) for x in (0.5, 0.5, 0.25)]
+        for n, x, integral, ladder, diff, _ in rows:
+            assert ladder == evaluate(GridPoint(n, x), method="ladder").value
+            assert integral == evaluate(GridPoint(n, x)).value
+            assert diff == abs(integral - ladder)
+
+    def test_one_climb_per_distinct_x(self, monkeypatch):
+        steps = []
+        step = family._ladder_delta
+
+        def counting(n, x, acc):
+            steps.append(x)
+            return step(n, x, acc)
+
+        monkeypatch.setattr(family, "_ladder_delta", counting)
+        code, _ = table_rows(monkeypatch, "--n-list", "3,1,2,3", "--x-list", "0.5,0.5,0.25")
+        assert code == 0
+        # max(n-list) - 1 = 2 steps at each of the two distinct x
+        assert sorted(steps) == [0.25, 0.25, 0.5, 0.5]
+
+    def test_starved_table_keeps_its_warnings(self, capsys):
+        code, _, err = run(capsys, "table", "--n-list", "1,2,3,5", "--x-list", "0.5,1", "--quad-tol", "1e-16")
+        assert code == 3
+        assert warning_prefixes(err) == ["warning: n=5 x=0.5 integral:", "warning: n=5 x=1 integral:"]
+
+    def test_non_converged_rungs_warn_in_row_order(self, capsys):
+        # the warnings a row-by-row evaluation of both routes gives, in order
+        acc = Accuracy(quad_rel_tol=1e-17)
+        expected = []
+        for n in (3, 1, 2):
+            for x in (0.5, 1.0):
+                for method in ("integral", "ladder"):
+                    try:
+                        evaluate(GridPoint(n, x), method=method, acc=acc)
+                    except NonConvergenceError:
+                        expected.append(f"warning: n={n} x={cli.fmt(x)} {method}:")
+        assert any(w.endswith("ladder:") for w in expected)
+        code, _, err = run(capsys, "table", "--n-list", "3,1,2", "--x-list", "0.5,1", "--quad-tol", "1e-17")
+        assert code == 3
+        assert warning_prefixes(err) == expected
 
 
 class TestVerify:

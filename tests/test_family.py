@@ -84,6 +84,38 @@ class TestIntegerArguments:
             call()
 
 
+class TestAccuracy:
+    # a tolerance that is not a finite positive number, or a budget that is
+    # not an integer, is a DomainError rather than a budget silently spent,
+    # skipped or failing later with a TypeError
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("quad_rel_tol", math.nan),
+            ("quad_rel_tol", math.inf),
+            ("quad_rel_tol", 0.0),
+            ("series_abs_tol", math.nan),
+            ("series_abs_tol", math.inf),
+            ("series_abs_tol", -1e-15),
+            ("quad_rel_tol", "1e-12"),
+            ("series_abs_tol", None),
+            ("max_series_terms", 1.5),
+            ("max_series_terms", True),
+            ("max_series_terms", 0),
+            ("max_quad_refinements", 2.5),
+            ("max_quad_refinements", True),
+            ("max_quad_refinements", 0),
+        ],
+    )
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            Accuracy(**{field: value})
+
+    def test_integer_budgets_accepted(self):
+        acc = Accuracy(max_series_terms=np.int64(5), max_quad_refinements=3)
+        assert (acc.max_series_terms, acc.max_quad_refinements) == (5, 3)
+
+
 class TestIntegralRoute:
     @pytest.mark.parametrize(
         "n,x,expected",
@@ -252,6 +284,23 @@ class TestLadderRoute:
 
     def test_via_ladder_checkpoint(self):
         assert eval_via_ladder(GridPoint(2, 0.5)) == pytest.approx(G_2_HALF, abs=1e-9)
+
+    @pytest.mark.parametrize("acc", [Accuracy(), STARVED], ids=["default", "starved"])
+    def test_path_prefixes_are_the_ladder_route(self, acc):
+        # rung n of one climb is g(1, x) plus steps 1..n-1, summed in that
+        # order, which is the ladder route's value at n bit for bit
+        path = family._ladder_path(0.3, 6, acc)
+        parts = [family._integral(GridPoint(1, 0.3), acc)]
+        parts += [family._ladder_delta(k, 0.3, acc) for k in range(1, 6)]
+        value, err, evaluations, converged = 0.0, 0.0, 0, True
+        for n, (rung, part) in enumerate(zip(path, parts, strict=True), start=1):
+            value += part.value
+            err += part.err_estimate
+            evaluations += part.evaluations
+            converged = converged and part.converged
+            assert rung == Evaluation(value, err, evaluations, converged)
+            assert rung == family._via_ladder(GridPoint(n, 0.3), acc)
+        assert converged is (acc is not STARVED)
 
     def test_via_ladder_agrees_with_integral(self):
         p = GridPoint(10, 0.5)
