@@ -4,6 +4,10 @@ The canonical definition is the integral representation
 
     g(n, x) = H_n - log(2 pi x) - n int_0^1 (1-u)^(n-1) log(2 sin(pi x u)) du.
 
+As the weight's log moment is -H_n, it is evaluated as 2 H_n - 2 log(2 pi x) -
+n int_0^1 (1-u)^(n-1) log(sin w / w) du, w = pi x u; every route likewise
+integrates a smooth remainder and takes its endpoint terms in closed form.
+
 The other routes (scaled derivative via cotangent averages or via the
 even-zeta series, the ladder recursion in n, the generating function in z)
 are theorems about this definition; the verify module quantifies how well
@@ -17,7 +21,7 @@ from dataclasses import replace
 
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _require_int
 from .errors import DomainError, NonConvergenceError
-from .quadrature import Evaluation, _checked, cot_kernel, integrate_de, log_sin_kernel, weight
+from .quadrature import Evaluation, _checked, _cot_remainder, _log_sinc, integrate_de
 from .sequences import harmonic, zeta_even
 
 CONSTANT_AS_PRINTED = "as_printed"
@@ -30,6 +34,9 @@ METHOD_DERIVATIVE_COT = "derivative-cot"
 METHOD_DERIVATIVE_SERIES = "derivative-series"
 METHODS = (METHOD_INTEGRAL, METHOD_LADDER, METHOD_DERIVATIVE_COT, METHOD_DERIVATIVE_SERIES)
 
+_EPS = math.ulp(1.0)
+_LOG_2PI = math.log(2.0 * math.pi)  # log(2 pi x) = _LOG_2PI + log x, also at subnormal x
+
 
 def _moment(integrand, acc: Accuracy) -> Evaluation:
     # the quadrature's result whether or not it converged: each route maps
@@ -41,26 +48,27 @@ def _moment(integrand, acc: Accuracy) -> Evaluation:
 
 
 def _integral(p: GridPoint, acc: Accuracy) -> Evaluation:
-    # n int_0^1 (1-u)^(n-1) log(2 sin(pi x u)) du
+    # 2 H_n - 2 log(2 pi x) - q, q = n int_0^1 (1-u)^(n-1) log sinc(pi x u) du
     n, x = p.n, p.x
-
-    def integrand(u: float) -> float:
-        return weight(n, u) * log_sin_kernel(x, u)
-
-    q = _moment(integrand, acc)
-    return replace(q, value=harmonic(n) - math.log(2.0 * math.pi * x) - q.value)
+    a, log_x = math.pi * x, math.log(x)
+    if n == 1 and x == 1.0:
+        # only the order-1 weight is nonzero at u = 1, where log sinc(pi u) ~ log(1-u)
+        q = _moment(lambda u: _log_sinc(a * u) - math.log1p(-u), acc)
+        q = replace(q, value=q.value - 1.0)
+    else:
+        q = _moment(lambda u: n * (1.0 - u) ** (n - 1) * _log_sinc(a * u), acc)
+    h = harmonic(n)
+    floor = _EPS * (2.0 * h + 2.0 * (_LOG_2PI - log_x) + abs(q.value))  # rounding of the terms
+    return Evaluation(2.0 * (h - _LOG_2PI - log_x) - q.value, q.err_estimate + floor, q.evaluations, q.converged)
 
 
 def _derivative_cot(p: GridPoint, acc: Accuracy) -> Evaluation:
+    # -2 - n int_0^1 (1-u)^(n-1) (w cot w - 1) du: the kernel is 1 at u = 0
     n, x = p.n, p.x
     if n == 1 and x == 1.0:
         raise DomainError("the derivative diverges like log(1-x) at n = 1, x = 1")
-
-    def integrand(u: float) -> float:
-        return weight(n, u) * cot_kernel(x, u)
-
-    q = _moment(integrand, acc)
-    return replace(q, value=-q.value - 1.0)
+    q = _moment(lambda u: n * (1.0 - u) ** (n - 1) * _cot_remainder(math.pi * x * u), acc)
+    return replace(q, value=-2.0 - q.value, err_estimate=q.err_estimate + _EPS * (2.0 + abs(q.value)))
 
 
 def _derivative_series(p: GridPoint, acc: Accuracy, constant_variant: str) -> Evaluation:
@@ -88,12 +96,14 @@ def _derivative_series(p: GridPoint, acc: Accuracy, constant_variant: str) -> Ev
 
 
 def _ladder_delta(n: int, x: float, acc: Accuracy) -> Evaluation:
-    def integrand(u: float) -> float:
-        base = (1.0 - u) ** (n - 1)
-        return ((n + 1) * (1.0 - u) - n) * base * log_sin_kernel(x, u)
-
-    q = _moment(integrand, acc)
-    return replace(q, value=1.0 / (n + 1) - q.value)
+    # 2/(n+1) - int_0^1 K log sinc(pi x u) du: the step kernel
+    # K = (n+1)(1-u)^n - n(1-u)^(n-1) has log moment -1/(n+1)
+    if n == 1 and x == 1.0:
+        # K = 1 - 2u is -1 at u = 1: as in _integral, with int_0^1 K log(1-u) du = 1/2
+        q = _moment(lambda u: (1.0 - 2.0 * u) * (_log_sinc(math.pi * u) - math.log1p(-u)), acc)
+        return replace(q, value=0.5 - q.value)
+    q = _moment(lambda u: ((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) * _log_sinc(math.pi * x * u), acc)
+    return replace(q, value=2.0 / (n + 1) - q.value)
 
 
 def _ladder_path(x: float, n_max: int, acc: Accuracy) -> list[Evaluation]:
@@ -192,14 +202,15 @@ def genfunc_closed(q: GenfuncPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """
     x, z = q.x, q.z
 
+    # the kernel's mass z/(1-z) and log moment log(1-z)/(1-z) are closed forms
     def integrand(u: float) -> float:
         d = 1.0 - z * (1.0 - u)
-        return log_sin_kernel(x, u) * z / (d * d)
+        return _log_sinc(math.pi * x * u) * z / (d * d)
 
     quad = integrate_de(integrand, acc)
     return (
-        -(z / (1.0 - z)) * math.log(2.0 * math.pi * x)
-        - math.log1p(-z) / (1.0 - z)
+        -2.0 * (z / (1.0 - z)) * (_LOG_2PI + math.log(x))
+        - 2.0 * math.log1p(-z) / (1.0 - z)
         - quad.value
     )
 

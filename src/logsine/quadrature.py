@@ -35,6 +35,7 @@ _H0 = 0.5
 # Below this value of w = pi*x*u the cotangent kernel switches to its
 # series form; both branches agree to better than 1e-13 at the cutoff.
 _COT_SERIES_CUTOFF = 1e-4
+_REMAINDER_SERIES_CUTOFF = 1e-2  # remainder kernels use their series below it (error ~1e-21)
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,22 @@ def weight(n: int, u: float) -> float:
     if not 0.0 <= u <= 1.0:
         raise DomainError("u must satisfy 0 <= u <= 1")
     return float(n) * (1.0 - u) ** (n - 1)
+
+
+def _log_sinc(w: float) -> float:
+    # log(sin w / w), 0 <= w < pi: log(2 sin w) less log(2w); no range checks
+    w2 = w * w
+    if w < _REMAINDER_SERIES_CUTOFF:
+        return -w2 * (1.0 / 6.0 + w2 * (1.0 / 180.0 + w2 * (1.0 / 2835.0 + w2 / 37800.0)))
+    return math.log(math.sin(w) / w)
+
+
+def _cot_remainder(w: float) -> float:
+    # w cot w - 1, 0 <= w < pi: the cotangent kernel less its value at 0
+    w2 = w * w
+    if w < _REMAINDER_SERIES_CUTOFF:
+        return -w2 * (1.0 / 3.0 + w2 * (1.0 / 45.0 + w2 * (2.0 / 945.0 + w2 / 4725.0)))
+    return w * math.cos(w) / math.sin(w) - 1.0
 
 
 def _abscissa(t: float) -> tuple[float, float]:

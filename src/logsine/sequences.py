@@ -11,6 +11,7 @@ readers never observe a partial table.
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,11 +29,22 @@ BERNOULLI_MAX_INDEX = 64
 # zeta(2m) below 1 once the true value saturates toward 1.
 _PI_RATIONAL = Fraction(3141592653589793238462643383279502884197, 10**39)
 
+_EULER_GAMMA = Decimal("0.5772156649015328606065120900824024310422")
+# B_2k / (2k) for k = 1..10 as literals: harmonic() never builds the Bernoulli table
+_HARMONIC_TAIL = ((1, 12), (-1, 120), (1, 252), (-1, 240), (1, 132),
+                  (-691, 32760), (1, 12), (-3617, 8160), (43867, 14364), (-174611, 6600))
+
 
 def harmonic(n: int) -> float:
-    """Harmonic number: sum of 1/k for k = 1..n, compensated ascending sum."""
+    """Harmonic number sum_{k=1..n} 1/k, correctly rounded: a compensated sum
+    below n = 100, then log n + gamma + 1/(2n) - sum_{k=1..10} B_2k / (2k n^(2k))
+    at 40 digits, rounded once (the first omitted term is below 3e-42)."""
     _require_int("n", n, 1)
-    return math.fsum(1.0 / k for k in range(1, n + 1))
+    if n < 100:
+        return math.fsum(1.0 / k for k in range(1, n + 1))
+    with localcontext(Context(prec=40)):
+        tail = sum(Decimal(b) / (d * Decimal(n) ** (2 * k)) for k, (b, d) in enumerate(_HARMONIC_TAIL, 1))
+        return float(Decimal(n).ln() + _EULER_GAMMA + Decimal(1) / (2 * n) - tail)
 
 
 @lru_cache(maxsize=1)

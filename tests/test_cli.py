@@ -17,6 +17,8 @@ G_2_HALF = 1.5 - math.log(math.pi) + 3.5 * ZETA_3 / math.pi**2
 G_3_HALF = 11.0 / 6.0 - math.log(math.pi) + 6.0 * ZETA_3 / math.pi**2
 # g(40, 1) from a 30-digit mpmath evaluation of the integral
 G_40_ONE = 4.88324646089990972661343507592
+# Too few refinements to converge: the engine always performs at least three.
+STARVED = Accuracy(max_quad_refinements=2)
 
 
 def run(capsys, *argv):
@@ -86,15 +88,24 @@ class TestEval:
         assert "warning" in err
         assert float(parse_plain(out.splitlines()[0])["value"]) == 1.25
 
-    def test_non_convergence_prints_ladder_sum(self, capsys):
-        # one rung runs out of budget; the printed value is still g(3, 1/2)
-        code, out, err = run(
-            capsys, "eval", "--n", "3", "--x", "0.5", "--method", "ladder", "--quad-tol", "1e-17"
-        )
+    def test_non_convergence_prints_ladder_sum(self, capsys, monkeypatch):
+        # the rungs run out of budget; the printed value is still g(3, 1/2)
+        monkeypatch.setattr(cli, "DEFAULT_ACCURACY", STARVED)
+        code, out, err = run(capsys, "eval", "--n", "3", "--x", "0.5", "--method", "ladder")
         assert code == 3
         assert "best estimate" in err
         record = parse_plain(out.splitlines()[0])
         assert float(record["value"]) == pytest.approx(G_3_HALF, abs=1e-9)
+
+    def test_tiny_x_is_the_leading_term(self, capsys):
+        # the remainder integral underflows to 0, leaving 2 H_2 - 2 log(2 pi x)
+        code, out, _ = run(capsys, "eval", "--n", "2", "--x", "5e-324")
+        assert code == 0
+        expected = 3.0 - 2.0 * (math.log(2.0 * math.pi) + math.log(5e-324))
+        assert float(parse_plain(out.splitlines()[0])["value"]) == pytest.approx(expected, rel=1e-14)
+        code, out, _ = run(capsys, "eval", "--n", "2", "--x", "5e-324", "--method", "derivative-cot")
+        assert code == 0
+        assert float(parse_plain(out.splitlines()[0])["value"]) == -2.0
 
     def test_cot_divergence_exit_2(self, capsys):
         code, out, err = run(capsys, "eval", "--n", "1", "--x", "1", "--method", "derivative-cot")
@@ -163,13 +174,22 @@ class TestTable:
         record = json.loads(out.splitlines()[0])
         assert list(record) == list(cli.TABLE_HEADER)
 
-    def test_non_convergence_prints_integral_value(self, capsys):
-        code, out, err = run(capsys, "table", "--n-list", "40", "--x-list", "1", "--quad-tol", "1e-16")
+    def test_non_convergence_prints_integral_value(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_ACCURACY", STARVED)
+        code, out, err = run(capsys, "table", "--n-list", "40", "--x-list", "1")
         assert code == 3
         assert "warning: n=40 x=1 integral" in err
         record = parse_plain(out.splitlines()[0])
         assert float(record["g_integral"]) == pytest.approx(G_40_ONE, abs=1e-9)
         assert float(record["abs_diff"]) < 1e-9
+
+    def test_tiny_x_is_the_leading_term(self, capsys):
+        code, out, _ = run(capsys, "table", "--n-list", "2", "--x-list", "1e-320")
+        assert code == 0
+        record = parse_plain(out.splitlines()[0])
+        expected = 3.0 - 2.0 * (math.log(2.0 * math.pi) + math.log(1e-320))
+        assert float(record["g_integral"]) == pytest.approx(expected, rel=1e-14)
+        assert float(record["g_ladder"]) == pytest.approx(expected, rel=1e-14)
 
     def test_empty_list_exit_2(self, capsys):
         code, _, err = run(capsys, "table", "--n-list", "1", "--x-list", "")
@@ -230,14 +250,19 @@ class TestTableLadderClimb:
         # max(n-list) - 1 = 2 steps at each of the two distinct x
         assert sorted(steps) == [0.25, 0.25, 0.5, 0.5]
 
-    def test_starved_table_keeps_its_warnings(self, capsys):
-        code, _, err = run(capsys, "table", "--n-list", "1,2,3,5", "--x-list", "0.5,1", "--quad-tol", "1e-16")
+    def test_starved_table_keeps_its_warnings(self, capsys, monkeypatch):
+        # only the order-5 integrals run out of budget
+        integral = family._integral
+        monkeypatch.setattr(family, "_integral", lambda p, acc: integral(p, STARVED if p.n == 5 else acc))
+        code, _, err = run(capsys, "table", "--n-list", "1,2,3,5", "--x-list", "0.5,1")
         assert code == 3
         assert warning_prefixes(err) == ["warning: n=5 x=0.5 integral:", "warning: n=5 x=1 integral:"]
 
-    def test_non_converged_rungs_warn_in_row_order(self, capsys):
-        # the warnings a row-by-row evaluation of both routes gives, in order
-        acc = Accuracy(quad_rel_tol=1e-17)
+    def test_non_converged_rungs_warn_in_row_order(self, capsys, monkeypatch):
+        # the warnings a row-by-row evaluation of both routes gives, in order;
+        # three refinements at 1e-16 starve some quadratures and not others
+        acc = Accuracy(quad_rel_tol=1e-16, max_quad_refinements=3)
+        monkeypatch.setattr(cli, "DEFAULT_ACCURACY", acc)
         expected = []
         for n in (3, 1, 2):
             for x in (0.5, 1.0):
@@ -247,7 +272,7 @@ class TestTableLadderClimb:
                     except NonConvergenceError:
                         expected.append(f"warning: n={n} x={cli.fmt(x)} {method}:")
         assert any(w.endswith("ladder:") for w in expected)
-        code, _, err = run(capsys, "table", "--n-list", "3,1,2", "--x-list", "0.5,1", "--quad-tol", "1e-17")
+        code, _, err = run(capsys, "table", "--n-list", "3,1,2", "--x-list", "0.5,1")
         assert code == 3
         assert warning_prefixes(err) == expected
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -23,10 +24,14 @@ class TestHarmonic:
         # 7381/2520 evaluated exactly, then rounded once
         assert harmonic(10) == 2.9289682539682538
 
-    @pytest.mark.parametrize("n", [3, 7, 25, 100, 999])
+    # the compensated sum below n = 100, the asymptotic expansion from it
+    @pytest.mark.parametrize("n", [3, 7, 25, 99, 100, 101, 999, 10_001])
     def test_matches_exact_rational_sum(self, n):
         exact = sum(Fraction(1, k) for k in range(1, n + 1))
         assert harmonic(n) == float(exact)
+
+    def test_order_one_million(self):
+        assert harmonic(10**6) == float(Decimal("14.3927267228657236313811274932"))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError, match="n must satisfy n >= 1"):
