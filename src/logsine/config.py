@@ -27,6 +27,12 @@ def _require_tolerance(name: str, value) -> None:
         raise DomainError(f"{name} must be finite and strictly positive")
 
 
+def _require_scale(x) -> None:
+    # the one domain check of the scale x; NaN and non-real values fail it too
+    if isinstance(x, bool) or not isinstance(x, Real) or not 0.0 < x <= 1.0:
+        raise DomainError("x must satisfy 0 < x <= 1")
+
+
 @dataclass(frozen=True)
 class GridPoint:
     """One (order n, scale x) evaluation point of the moment family.
@@ -41,8 +47,7 @@ class GridPoint:
 
     def __post_init__(self) -> None:
         _require_int("n", self.n, 1)
-        if not 0.0 < self.x <= 1.0:
-            raise DomainError("x must satisfy 0 < x <= 1")
+        _require_scale(self.x)
 
 
 @dataclass(frozen=True)
@@ -57,10 +62,9 @@ class GenfuncPoint:
     z: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.x <= 1.0:
-            raise DomainError("x must satisfy 0 < x <= 1")
-        if abs(self.z) > 0.9:
-            raise DomainError("z must satisfy |z| <= 0.9")
+        _require_scale(self.x)
+        if isinstance(self.z, bool) or not isinstance(self.z, Real) or not abs(self.z) <= 0.9:
+            raise DomainError("z must be real and satisfy |z| <= 0.9")
 
 
 @dataclass(frozen=True)

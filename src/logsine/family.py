@@ -26,7 +26,8 @@ from .sequences import harmonic, zeta_even
 
 CONSTANT_AS_PRINTED = "as_printed"
 CONSTANT_CORRECTED = "corrected"
-CONSTANT_VARIANTS = (CONSTANT_AS_PRINTED, CONSTANT_CORRECTED)
+SERIES_CONSTANTS = {CONSTANT_AS_PRINTED: -1.0, CONSTANT_CORRECTED: -2.0}
+CONSTANT_VARIANTS = tuple(SERIES_CONSTANTS)
 
 METHOD_INTEGRAL = "integral"
 METHOD_LADDER = "ladder"
@@ -35,7 +36,12 @@ METHOD_DERIVATIVE_SERIES = "derivative-series"
 METHODS = (METHOD_INTEGRAL, METHOD_LADDER, METHOD_DERIVATIVE_COT, METHOD_DERIVATIVE_SERIES)
 
 _EPS = math.ulp(1.0)
-_LOG_2PI = math.log(2.0 * math.pi)  # log(2 pi x) = _LOG_2PI + log x, also at subnormal x
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _leading(h: float, x: float) -> float:
+    # 2 H_n - 2 log(2 pi x) for h = H_n, as log 2 pi + log x: a subnormal x is not rounded in 2 pi x
+    return 2.0 * (h - _LOG_2PI - math.log(x))
 
 
 def _moment(integrand, acc: Accuracy) -> Evaluation:
@@ -59,7 +65,7 @@ def _integral(p: GridPoint, acc: Accuracy) -> Evaluation:
         q = _moment(lambda u: n * (1.0 - u) ** (n - 1) * _log_sinc(a * u), acc)
     h = harmonic(n)
     floor = _EPS * (2.0 * h + 2.0 * (_LOG_2PI - log_x) + abs(q.value))  # rounding of the terms
-    return Evaluation(2.0 * (h - _LOG_2PI - log_x) - q.value, q.err_estimate + floor, q.evaluations, q.converged)
+    return Evaluation(_leading(h, x) - q.value, q.err_estimate + floor, q.evaluations, q.converged)
 
 
 def _derivative_cot(p: GridPoint, acc: Accuracy) -> Evaluation:
@@ -76,7 +82,7 @@ def _derivative_series(p: GridPoint, acc: Accuracy, constant_variant: str) -> Ev
         raise DomainError(f"constant_variant must be one of {CONSTANT_VARIANTS}")
     if p.x >= 1.0:
         raise DomainError("x must satisfy x < 1 on the series route")
-    constant = -1.0 if constant_variant == CONSTANT_AS_PRINTED else -2.0
+    constant = SERIES_CONSTANTS[constant_variant]
     n = p.n
     x2 = p.x * p.x
     xpow = 1.0
@@ -207,12 +213,9 @@ def genfunc_closed(q: GenfuncPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
         d = 1.0 - z * (1.0 - u)
         return _log_sinc(math.pi * x * u) * z / (d * d)
 
-    quad = integrate_de(integrand, acc)
-    return (
-        -2.0 * (z / (1.0 - z)) * (_LOG_2PI + math.log(x))
-        - 2.0 * math.log1p(-z) / (1.0 - z)
-        - quad.value
-    )
+    quad = _moment(integrand, acc)
+    closed = -2.0 * (z / (1.0 - z)) * (_LOG_2PI + math.log(x)) - 2.0 * math.log1p(-z) / (1.0 - z)
+    return _checked(replace(quad, value=closed - quad.value)).value
 
 
 # orders past N whose peak |g| bounds the generating-function tail

@@ -154,30 +154,23 @@ def integrate_de(f: Callable[[float], float], acc: Accuracy = DEFAULT_ACCURACY) 
     NonConvergenceError (carrying the best estimate as an Evaluation with
     converged=False) when the budget runs out.
     """
+    value = 0.0  # so level 0's refined value is its bare trapezoid sum
     evaluations = 0
-
-    def level_sum(level: int) -> float:
-        nonlocal evaluations
+    converged = False
+    for level in range(acc.max_quad_refinements + 1):
+        nodes = _level_nodes(level)
         total = 0.0
         comp = 0.0
-        for u, dudt in _level_nodes(level):
+        for u, dudt in nodes:
             fu = f(u)
-            evaluations += 1
             if not math.isfinite(fu):
                 raise NonFiniteSampleError(f"integrand returned a non-finite value at u = {u!r}")
             y = fu * dudt - comp
             t = total + y
             comp = (t - total) - y
             total = t
-        return total
-
-    h = _H0
-    value = h * level_sum(0)
-    err = math.inf
-    converged = False
-    for level in range(1, acc.max_quad_refinements + 1):
-        h *= 0.5
-        refined = 0.5 * value + h * level_sum(level)
+        evaluations += len(nodes)
+        refined = 0.5 * value + _H0 / (1 << level) * total
         err = abs(refined - value)
         value = refined
         # agreement between the first coarse levels is not trustworthy, so

@@ -26,11 +26,12 @@ from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _requir
 from .errors import DomainError, QuadratureError
 from .family import (
     _TAIL_PROBE,
-    CONSTANT_AS_PRINTED,
     CONSTANT_CORRECTED,
+    SERIES_CONSTANTS,
     _derivative_series,
     _genfunc_orders,
     _integral,
+    _leading,
     _partial_sum,
     _tail_bound,
     eval_derivative_cot,
@@ -240,33 +241,31 @@ def check_series_constant(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accurac
     everywhere, and the notes name it.
     """
     points = _coerce_grid(grid)
-    per_variant: dict[str, list[float]] = {CONSTANT_AS_PRINTED: [], CONSTANT_CORRECTED: []}
+    gaps: dict[GridPoint, float] = {}  # corrected series less the cot route, per evaluated point
     capped = []
 
+    def score(variant: str, p: GridPoint) -> float:
+        # inf at a failed point; another constant shifts the gap by the constants' difference
+        return abs(gaps.get(p, math.inf) + (SERIES_CONSTANTS[variant] - SERIES_CONSTANTS[CONSTANT_CORRECTED]))
+
     def chosen() -> str:
-        return min(per_variant, key=lambda v: per_variant[v][0])
+        return min(SERIES_CONSTANTS, key=lambda v: score(v, points[0]))
 
     def residual(p: GridPoint) -> float:
-        for bucket in per_variant.values():
-            bucket.append(math.inf)  # stays if the point fails
         reference = eval_derivative_cot(p, acc)
-        evs = {v: _derivative_series(p, acc, v) for v in per_variant}
-        for variant, bucket in per_variant.items():
-            bucket[-1] = abs(evs[variant].value - reference)
-        ev = evs[CONSTANT_CORRECTED]
+        ev = _derivative_series(p, acc, CONSTANT_CORRECTED)
+        gaps[p] = ev.value - reference
         if ev.evaluations >= acc.max_series_terms and ev.err_estimate >= acc.series_abs_tol:
             capped.append(p)
-        return per_variant[chosen()][-1]
+        return score(chosen(), p)
 
     def notes() -> str:
         best = chosen()
-        matches = {
-            v: sum(1 for r in per_variant[v] if r <= TOL_SERIES_CONSTANT) for v in per_variant
-        }
+        matches = {v: sum(score(v, p) <= TOL_SERIES_CONSTANT for p in points) for v in SERIES_CONSTANTS}
         text = (
-            f"matching variant: {best} (constant {-1.0 if best == CONSTANT_AS_PRINTED else -2.0:g}); "
+            f"matching variant: {best} (constant {SERIES_CONSTANTS[best]:g}); "
             f"per-variant match counts over {len(points)} points: "
-            f"as_printed={matches[CONSTANT_AS_PRINTED]}, corrected={matches[CONSTANT_CORRECTED]}"
+            + ", ".join(f"{v}={count}" for v, count in matches.items())
         )
         if matches[best] != len(points):
             text += "; no single variant matches uniformly"
@@ -326,9 +325,9 @@ def _asymptotic_audit(kind: str, points, scale, axis: str, claim: str, acc: Accu
     for p in points:
         n, x = p.n, p.x
         ev = _integral(p, acc)
-        # 2 H_n - 2 log(2 pi x): the value the family approaches both as
-        # x -> 0+ at fixed n and as n -> infinity at fixed x
-        ref = 2.0 * harmonic(n) - 2.0 * math.log(2.0 * math.pi * x)
+        # the integral route's leading term: the value the family approaches
+        # both as x -> 0+ at fixed n and as n -> infinity at fixed x
+        ref = _leading(harmonic(n), x)
         rows.append(
             AsymptoticRow(
                 n=n,
@@ -368,7 +367,8 @@ def audit_small_x(
     if any(b >= a for a, b in zip(xs, xs[1:])):
         raise DomainError("xs must be strictly decreasing")
     return _asymptotic_audit(
-        "small-x", points, lambda p, g: g / (p.x * p.x), "x",
+        # x^2 underflows to 0 below about 2.2e-162, where g / x^2 has already overflowed
+        "small-x", points, lambda p, g: g / (p.x * p.x) if p.x * p.x else math.inf, "x",
         "a quadratic decay would give 2", acc,
     )
 

@@ -354,6 +354,17 @@ class TestAudit:
         assert len(rows) == 3
         assert "x=0.0001" in out
 
+    def test_subnormal_x_has_no_gap(self, capsys):
+        # at x = 5e-324 the remainder underflows to 0, so the value is the
+        # leading term 2 H_n - 2 log(2 pi x) itself
+        code, out, _ = run(capsys, "audit", "--only", "large-n", "--x", "5e-324")
+        assert code == 0
+        rows = [parse_plain(line) for line in out.splitlines() if line.startswith("  n=")]
+        assert len(rows) == 5
+        for row in rows:
+            assert float(row["gap"]) == 0.0
+            assert row["reference"] == row["value"]
+
     def test_unknown_audit_exit_2(self, capsys):
         code, _, err = run(capsys, "audit", "--only", "bogus")
         assert code == 2

@@ -180,6 +180,15 @@ class TestNonConvergence:
         assert len(samples) == 3
         assert excinfo.value.result.evaluations == sum(samples)
 
+    def test_genfunc_error_carries_its_own_best_estimate(self):
+        # the payload is the generating function's value, not its remainder integral
+        q = GenfuncPoint(0.5, 0.5)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            genfunc_closed(q, STARVED)
+        best = excinfo.value.result
+        assert best.converged is False
+        assert best.value == pytest.approx(genfunc_closed(q), abs=1e-9)
+
     def test_converged_results_say_so(self):
         assert evaluate(GridPoint(3, 0.5), method="ladder").converged is True
         assert evaluate(GridPoint(3, 0.5), method="derivative-series").converged is True
@@ -342,6 +351,31 @@ class TestGenfunc:
             genfunc_partial(0.5, 0.5, 0)
         with pytest.raises(DomainError):
             genfunc_partial(0.0, 0.5, 10)
+
+
+class TestRealArguments:
+    # x and z are real numbers: a NaN, a string, None or a complex number is a
+    # DomainError, never a stray TypeError or a silent NaN
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            pytest.param(lambda: GridPoint(1, "0.5"), "x", id="GridPoint(1, '0.5')"),
+            pytest.param(lambda: GridPoint(1, None), "x", id="GridPoint(1, None)"),
+            pytest.param(lambda: GridPoint(1, 0.5j), "x", id="GridPoint(1, 0.5j)"),
+            pytest.param(lambda: GridPoint(1, math.nan), "x", id="GridPoint(1, nan)"),
+            pytest.param(lambda: GenfuncPoint("a", 0.5), "x", id="GenfuncPoint('a', 0.5)"),
+            pytest.param(lambda: GenfuncPoint(0.5, "a"), "z", id="GenfuncPoint(0.5, 'a')"),
+            pytest.param(lambda: GenfuncPoint(0.5, 0.3j), "z", id="GenfuncPoint(0.5, 0.3j)"),
+            pytest.param(lambda: GenfuncPoint(0.5, math.nan), "z", id="GenfuncPoint(0.5, nan)"),
+            pytest.param(lambda: genfunc_partial(0.5, math.nan, 10), "z", id="genfunc_partial(0.5, nan, 10)"),
+            pytest.param(lambda: genfunc_partial(0.5, None, 10), "z", id="genfunc_partial(0.5, None, 10)"),
+            pytest.param(lambda: genfunc_tail_bound(0.5, math.nan, 10), "z", id="genfunc_tail_bound(0.5, nan, 10)"),
+            pytest.param(lambda: genfunc_partial(None, 0.5, 10), "x", id="genfunc_partial(None, 0.5, 10)"),
+        ],
+    )
+    def test_non_real_rejected(self, call, name):
+        with pytest.raises(DomainError, match=f"^{name} must"):
+            call()
 
 
 class TestEvaluateDispatch:

@@ -14,6 +14,7 @@ from logsine import (
     log_sin_kernel,
     weight,
 )
+from logsine.quadrature import _level_nodes
 
 # Apery's constant zeta(3), exact to double precision
 ZETA_3 = 1.2020569031595943
@@ -170,3 +171,25 @@ class TestIntegrateDE:
         a = integrate_de(f)
         b = integrate_de(f)
         assert (a.value, a.err_estimate, a.evaluations) == (b.value, b.err_estimate, b.evaluations)
+
+    @pytest.mark.parametrize("refinements", [12, 2], ids=["converged", "starved"])
+    def test_evaluations_count_whole_levels(self, refinements):
+        # one sample per integrand call, and every level used is used whole:
+        # the count is the level sizes summed up to the last level reached
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            return weight(3, u) * log_sin_kernel(0.7, u)
+
+        try:
+            q = integrate_de(f, Accuracy(max_quad_refinements=refinements))
+        except NonConvergenceError as exc:
+            q = exc.result
+        sizes = [len(_level_nodes(level)) for level in range(refinements + 1)]
+        assert q.evaluations == len(calls)
+        assert q.converged is (refinements == 12)
+        if q.converged:
+            assert q.evaluations in [sum(sizes[: k + 1]) for k in range(3, refinements + 1)]
+        else:
+            assert q.evaluations == sum(sizes)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from logsine import (
+    Accuracy,
     DomainError,
     IdentityReport,
     audit_large_n,
@@ -95,6 +96,34 @@ class TestChecks:
         report = check_series_constant(grid=[(1, 0.95)], acc=Accuracy())
         assert "term cap" in report.notes
 
+    def test_series_constant_takes_one_series_per_point(self, monkeypatch):
+        import logsine.family as family
+        import logsine.verify as verify
+
+        calls = []
+        series = family._derivative_series
+
+        def counting(p, acc, variant):
+            calls.append(variant)
+            return series(p, acc, variant)
+
+        monkeypatch.setattr(verify, "_derivative_series", counting)
+        report = check_series_constant()
+        assert calls == [family.CONSTANT_CORRECTED] * 18
+        # the report of two series per point, one for each printed constant
+        residuals = {"as_printed": [], "corrected": []}
+        for p in verify.DEFAULT_DERIVATIVE_GRID:
+            reference = family.eval_derivative_cot(p)
+            for variant, bucket in residuals.items():
+                bucket.append(abs(series(p, Accuracy(), variant).value - reference))
+        assert report.max_abs_residual == max(residuals["corrected"])
+        assert report.passed
+        assert report.notes == (
+            "matching variant: corrected (constant -2); per-variant match counts over 18 points: "
+            f"as_printed={sum(r <= 1e-8 for r in residuals['as_printed'])}, "
+            f"corrected={sum(r <= 1e-8 for r in residuals['corrected'])}"
+        )
+
     def test_genfunc_passes(self):
         report = check_genfunc()
         assert report.passed
@@ -176,6 +205,13 @@ class TestSmallXAudit:
             assert r.scaled == r.value / (r.x * r.x)
         # nothing like the claimed quadratic vanishing (slope 2)
         assert audit.log_slope < 0.5
+
+    def test_completes_where_x_squared_underflows(self):
+        # x^2 is 0 at x = 1e-200; the quotient has overflowed well above that x
+        row = audit_small_x(2, xs=(1e-200,)).rows[0]
+        assert math.isfinite(row.value)
+        assert row.scaled == math.inf
+        assert row.gap == 0.0
 
     def test_checkpoint_row_reused(self):
         audit = audit_small_x(1, xs=(0.5,))
