@@ -17,9 +17,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
 
-from .config import DEFAULT_ACCURACY, GridPoint
+from .config import DEFAULT_ACCURACY, Accuracy, GridPoint
 from .errors import DomainError, NonConvergenceError
 from .family import (
     CONSTANT_CORRECTED,
@@ -168,7 +167,8 @@ def _accuracy(ns):
         overrides["series_abs_tol"] = ns.series_tol
     if ns.max_terms is not None:
         overrides["max_series_terms"] = ns.max_terms
-    return replace(DEFAULT_ACCURACY, **overrides) if overrides else DEFAULT_ACCURACY
+    # rebuilt through Accuracy(), which validates: _replace would skip that
+    return Accuracy(**{**DEFAULT_ACCURACY._asdict(), **overrides}) if overrides else DEFAULT_ACCURACY
 
 
 def _split_selection(raw, valid, what) -> tuple[str, ...]:

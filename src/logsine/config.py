@@ -1,13 +1,15 @@
 """Evaluation points and accuracy budgets.
 
-Everything downstream is a pure function of these frozen configs, so grids
-can be evaluated concurrently without shared state.
+Everything downstream is a pure function of these immutable records, so
+grids can be evaluated concurrently without shared state. Records are named
+tuples whose constructor validates its fields; `_replace` and `_make` skip
+that check, so copy a validated record as `Accuracy(**fields)`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from numbers import Integral, Real
 
 from .errors import DomainError
@@ -33,8 +35,7 @@ def _require_scale(x) -> None:
         raise DomainError("x must satisfy 0 < x <= 1")
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(namedtuple("GridPoint", "n x")):
     """One (order n, scale x) evaluation point of the moment family.
 
     The scale is restricted to 0 < x <= 1: beyond x = 1 the kernel
@@ -42,45 +43,47 @@ class GridPoint:
     undefined as written.
     """
 
-    n: int
-    x: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_int("n", self.n, 1)
-        _require_scale(self.x)
+    def __new__(cls, n: int, x: float):
+        _require_int("n", n, 1)
+        _require_scale(x)
+        return super().__new__(cls, n, x)
 
 
-@dataclass(frozen=True)
-class GenfuncPoint:
+class GenfuncPoint(namedtuple("GenfuncPoint", "x z")):
     """A (scale x, series variable z) point for the generating function.
 
     |z| <= 0.9 keeps a convergence margin for both the closed form and
     the partial sums.
     """
 
-    x: float
-    z: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_scale(self.x)
-        if isinstance(self.z, bool) or not isinstance(self.z, Real) or not abs(self.z) <= 0.9:
+    def __new__(cls, x: float, z: float):
+        _require_scale(x)
+        if isinstance(z, bool) or not isinstance(z, Real) or not abs(z) <= 0.9:
             raise DomainError("z must be real and satisfy |z| <= 0.9")
+        return super().__new__(cls, x, z)
 
 
-@dataclass(frozen=True)
-class Accuracy:
+class Accuracy(namedtuple("Accuracy", "quad_rel_tol series_abs_tol max_series_terms max_quad_refinements")):
     """Tolerances and truncation budgets governing quadrature and series."""
 
-    quad_rel_tol: float = 1e-12
-    series_abs_tol: float = 1e-15
-    max_series_terms: int = 200
-    max_quad_refinements: int = 12
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_tolerance("quad_rel_tol", self.quad_rel_tol)
-        _require_tolerance("series_abs_tol", self.series_abs_tol)
-        _require_int("max_series_terms", self.max_series_terms, 1)
-        _require_int("max_quad_refinements", self.max_quad_refinements, 1)
+    def __new__(
+        cls,
+        quad_rel_tol: float = 1e-12,
+        series_abs_tol: float = 1e-15,
+        max_series_terms: int = 200,
+        max_quad_refinements: int = 12,
+    ):
+        _require_tolerance("quad_rel_tol", quad_rel_tol)
+        _require_tolerance("series_abs_tol", series_abs_tol)
+        _require_int("max_series_terms", max_series_terms, 1)
+        _require_int("max_quad_refinements", max_quad_refinements, 1)
+        return super().__new__(cls, quad_rel_tol, series_abs_tol, max_series_terms, max_quad_refinements)
 
 
 DEFAULT_ACCURACY = Accuracy()

@@ -17,7 +17,6 @@ each one holds numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _require_int
 from .errors import DomainError, NonConvergenceError
@@ -60,7 +59,7 @@ def _integral(p: GridPoint, acc: Accuracy) -> Evaluation:
     if n == 1 and x == 1.0:
         # only the order-1 weight is nonzero at u = 1, where log sinc(pi u) ~ log(1-u)
         q = _moment(lambda u: _log_sinc(a * u) - math.log1p(-u), acc)
-        q = replace(q, value=q.value - 1.0)
+        q = q._replace(value=q.value - 1.0)
     else:
         q = _moment(lambda u: n * (1.0 - u) ** (n - 1) * _log_sinc(a * u), acc)
     h = harmonic(n)
@@ -74,7 +73,7 @@ def _derivative_cot(p: GridPoint, acc: Accuracy) -> Evaluation:
     if n == 1 and x == 1.0:
         raise DomainError("the derivative diverges like log(1-x) at n = 1, x = 1")
     q = _moment(lambda u: n * (1.0 - u) ** (n - 1) * _cot_remainder(math.pi * x * u), acc)
-    return replace(q, value=-2.0 - q.value, err_estimate=q.err_estimate + _EPS * (2.0 + abs(q.value)))
+    return q._replace(value=-2.0 - q.value, err_estimate=q.err_estimate + _EPS * (2.0 + abs(q.value)))
 
 
 def _derivative_series(p: GridPoint, acc: Accuracy, constant_variant: str) -> Evaluation:
@@ -107,9 +106,9 @@ def _ladder_delta(n: int, x: float, acc: Accuracy) -> Evaluation:
     if n == 1 and x == 1.0:
         # K = 1 - 2u is -1 at u = 1: as in _integral, with int_0^1 K log(1-u) du = 1/2
         q = _moment(lambda u: (1.0 - 2.0 * u) * (_log_sinc(math.pi * u) - math.log1p(-u)), acc)
-        return replace(q, value=0.5 - q.value)
+        return q._replace(value=0.5 - q.value)
     q = _moment(lambda u: ((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) * _log_sinc(math.pi * x * u), acc)
-    return replace(q, value=2.0 / (n + 1) - q.value)
+    return q._replace(value=2.0 / (n + 1) - q.value)
 
 
 def _ladder_path(x: float, n_max: int, acc: Accuracy) -> list[Evaluation]:
@@ -215,7 +214,7 @@ def genfunc_closed(q: GenfuncPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
 
     quad = _moment(integrand, acc)
     closed = -2.0 * (z / (1.0 - z)) * (_LOG_2PI + math.log(x)) - 2.0 * math.log1p(-z) / (1.0 - z)
-    return _checked(replace(quad, value=closed - quad.value)).value
+    return _checked(quad._replace(value=closed - quad.value)).value
 
 
 # orders past N whose peak |g| bounds the generating-function tail

@@ -20,7 +20,7 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Callable
 
@@ -38,8 +38,7 @@ _COT_SERIES_CUTOFF = 1e-4
 _REMAINDER_SERIES_CUTOFF = 1e-2  # remainder kernels use their series below it (error ~1e-21)
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(namedtuple("Evaluation", "value err_estimate evaluations converged")):
     """A value, its accumulated error estimate, the integrand samples or
     series terms it consumed, and whether every quadrature behind it met
     its tolerance.
@@ -49,10 +48,7 @@ class Evaluation:
     err_estimate <= quad_rel_tol * max(|value|, 1).
     """
 
-    value: float
-    err_estimate: float
-    evaluations: int
-    converged: bool
+    __slots__ = ()
 
 
 def log_sin_kernel(x: float, u: float) -> float:

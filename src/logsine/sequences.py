@@ -3,6 +3,11 @@ zeta values by two independent routes (the exact-rational Bernoulli formula
 and a direct sum with an Euler-Maclaurin end correction), and the truncated
 cotangent expansion.
 
+The Bernoulli numbers come from the integer tangent numbers T_k (Brent and
+Harvey 2011): O(k^2) integer multiply-adds, then one exact rational per
+B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)). The zeta route rounds one exact
+integer quotient, so no rational is normalised on the way.
+
 All functions are pure and use only the standard library. The Bernoulli
 memo is an immutable tuple stored after it is fully built, so concurrent
 readers never observe a partial table.
@@ -14,6 +19,7 @@ import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Real
 
 from .config import DEFAULT_ACCURACY, Accuracy, _require_int
 from .errors import DomainError
@@ -49,18 +55,19 @@ def harmonic(n: int) -> float:
 
 @lru_cache(maxsize=1)
 def _bernoulli_table() -> tuple[Fraction, ...]:
-    # Convolution recurrence sum_{j=0..k} C(k+1, j) B_j = 0 with B_0 = 1
-    # (first-kind convention, B_1 = -1/2; the even-index values exposed by
-    # bernoulli_even are the same under either convention).
-    kmax = 2 * BERNOULLI_MAX_INDEX
-    table = [Fraction(0)] * (kmax + 1)
-    table[0] = Fraction(1)
+    # B_0..B_{2 BERNOULLI_MAX_INDEX} (first-kind convention, B_1 = -1/2; the
+    # even-index values exposed by bernoulli_even are the same under either).
+    # Tangent numbers in place, T_k = t[k-1]: start from (k-1)! and sweep
+    # T_j <- (j-k) T_{j-1} + (j-k+2) T_j (Brent and Harvey 2011, Algorithm TangentNumbers).
+    kmax = BERNOULLI_MAX_INDEX
+    t = [math.factorial(k) for k in range(kmax)]
+    for k in range(1, kmax):
+        for j in range(k, kmax):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    table = [Fraction(0)] * (2 * kmax + 1)
+    table[0], table[1] = Fraction(1), Fraction(-1, 2)
     for k in range(1, kmax + 1):
-        acc = Fraction(0)
-        for j in range(k):
-            if table[j]:
-                acc += math.comb(k + 1, j) * table[j]
-        table[k] = -acc / (k + 1)
+        table[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k - 1], 4**k * (4**k - 1))
     return tuple(table)
 
 
@@ -77,14 +84,15 @@ def zeta_even_bernoulli(m: int) -> float:
 
         zeta(2m) = (-1)^(m+1) (2 pi)^(2m) B_{2m} / (2 (2m)!)
 
-    Everything is carried in exact rational arithmetic (with the rational
+    Everything is carried in exact integer arithmetic (with the rational
     stand-in for pi) and rounded once, so the result stays above 1 and
     non-increasing all the way into the saturation plateau at 1.0.
     """
     _require_int("m", m, 1)
-    rational = Fraction((-1) ** (m + 1) * 2 ** (2 * m - 1), math.factorial(2 * m))
-    rational *= bernoulli_even(m) * _PI_RATIONAL ** (2 * m)
-    return float(rational)
+    b = bernoulli_even(m)
+    # (-1)^(m+1) B_2m is positive; int / int rounds the exact quotient correctly
+    numerator = 2 ** (2 * m - 1) * abs(b.numerator) * _PI_RATIONAL.numerator ** (2 * m)
+    return numerator / (math.factorial(2 * m) * b.denominator * _PI_RATIONAL.denominator ** (2 * m))
 
 
 def zeta_even_direct(m: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -135,10 +143,9 @@ def cot_partial(z: float, terms: int) -> float:
     For |z| <= 1/2 the truncation error is bounded by twice the first
     omitted term (the terms decay at least geometrically there).
     """
-    if z == 0.0:
-        raise DomainError("z must satisfy z != 0")
-    if abs(z) >= 1.0:
-        raise DomainError("z must satisfy |z| < 1")
+    # NaN fails the range test too
+    if isinstance(z, bool) or not isinstance(z, Real) or not 0.0 < abs(z) < 1.0:
+        raise DomainError("z must be real and satisfy 0 < |z| < 1")
     _require_int("terms", terms, 1)
     if terms > BERNOULLI_MAX_INDEX:
         raise DomainError(f"terms must satisfy terms <= {BERNOULLI_MAX_INDEX}")

@@ -11,6 +11,9 @@ Every check scores one residual per grid point through one runner, `_run`.
 A point whose evaluation fails (a domain error, a quadrature failure or an
 arithmetic error) never aborts the check: it scores an infinite residual,
 so the check fails, and the notes name the point and the error.
+Points of one check that need the same value share it within the call:
+the ladder check evaluates each g(n, x) once, the path check climbs the
+ladder once per x, and the genfunc check reads one run of orders per x.
 
 Each check is a pure function of its grid and accuracy budget, so two runs
 with the same inputs produce bit-identical reports.
@@ -19,7 +22,7 @@ with the same inputs produce bit-identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _require_int
@@ -31,17 +34,19 @@ from .family import (
     _derivative_series,
     _genfunc_orders,
     _integral,
+    _ladder_path,
     _leading,
     _partial_sum,
     _tail_bound,
     eval_derivative_cot,
     eval_integral,
-    eval_via_ladder,
+    eval_via_ladder,  # noqa: F401  perfbench/spans.py wraps it here
     genfunc_closed,
     genfunc_partial,  # noqa: F401  perfbench/spans.py wraps it here
     genfunc_tail_bound,  # noqa: F401  perfbench/spans.py wraps it here
     ladder_delta,
 )
+from .quadrature import _checked
 from .sequences import harmonic, zeta_even_bernoulli, zeta_even_direct
 
 ID_DERIVATIVE = "derivative_fd_vs_cot"
@@ -83,39 +88,30 @@ DEFAULT_SMALL_X = (1e-2, 1e-3, 1e-4)
 DEFAULT_LARGE_N = (10, 20, 40, 80, 160)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(namedtuple("IdentityReport", "identity_id grid max_abs_residual tolerance passed notes")):
     """Residual summary of one identity over a grid."""
 
-    identity_id: str
-    grid: tuple
-    max_abs_residual: float
-    tolerance: float
-    passed: bool
-    notes: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.grid:
+    def __new__(cls, identity_id: str, grid: tuple, max_abs_residual: float, tolerance: float, passed: bool,
+                notes: str):
+        if not grid:
             raise DomainError("grid must be non-empty")
-        if self.passed != (self.max_abs_residual <= self.tolerance):
+        if passed != (max_abs_residual <= tolerance):
             raise ValueError("passed must equal (max_abs_residual <= tolerance)")
+        return super().__new__(cls, identity_id, grid, max_abs_residual, tolerance, passed, notes)
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(namedtuple(
+    "AuditRow",
+    "n x paper_series_value paper_integral_value computed_value residual_vs_paper quad_err",
+)):
     """One audited row of the published table."""
 
-    n: int
-    x: float
-    paper_series_value: float
-    paper_integral_value: float
-    computed_value: float
-    residual_vs_paper: float
-    quad_err: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
+class AsymptoticRow(namedtuple("AsymptoticRow", "n x value scaled reference gap quad_err")):
     """One row of a small-x or large-n audit.
 
     reference is 2 H_n - 2 log(2 pi x), the value the family approaches in
@@ -123,29 +119,20 @@ class AsymptoticRow:
     holds value/x^2 for the small-x audit and n*value for the large-n one.
     """
 
-    n: int
-    x: float
-    value: float
-    scaled: float
-    reference: float
-    gap: float
-    quad_err: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TableAudit:
-    rows: tuple[AuditRow, ...]
-    max_residual: float
-    flagged: tuple[tuple[int, float], ...]
-    summary: str
+class TableAudit(namedtuple("TableAudit", "rows max_residual flagged summary")):
+    """Rows of the published-table audit, the largest residual, the
+    (row index, residual) pairs above the flag threshold, and a summary."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AsymptoticAudit:
-    kind: str
-    rows: tuple[AsymptoticRow, ...]
-    log_slope: float
-    summary: str
+class AsymptoticAudit(namedtuple("AsymptoticAudit", "kind rows log_slope summary")):
+    """Rows of a small-x or large-n audit and their log-log slope."""
+
+    __slots__ = ()
 
 
 _POINT_LABEL = "(n={0.n}, x={0.x:g})"
@@ -199,14 +186,30 @@ def _fd_residual(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     return abs(fd - eval_derivative_cot(p, acc))
 
 
-def _ladder_residual(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    diff = eval_integral(GridPoint(p.n + 1, p.x), acc) - eval_integral(p, acc)
+def _integrals(acc: Accuracy):
+    # g(n, x) by the canonical route, each (n, x) evaluated once for as long
+    # as the returned function is held: one check call shares it
+    values: dict[tuple[int, float], float] = {}
+
+    def g(n: int, x: float) -> float:
+        if (n, x) not in values:
+            values[n, x] = eval_integral(GridPoint(n, x), acc)
+        return values[n, x]
+
+    return g
+
+
+def _ladder_residual(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY, g=None) -> float:
+    g = g or _integrals(acc)
+    diff = g(p.n + 1, p.x) - g(p.n, p.x)
     return abs(diff - ladder_delta(p.n, p.x, acc))
 
 
-def _path_residual(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    # ladder-climbed value against the direct integral, not scaled by 1/n
-    return abs(eval_via_ladder(p, acc) - eval_integral(p, acc))
+def _path_residual(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY, path=None) -> float:
+    # ladder-climbed value against the direct integral, not scaled by 1/n;
+    # path, if given, is a climb at p.x at least p.n rungs high
+    path = path or _ladder_path(p.x, p.n, acc)
+    return abs(_checked(path[p.n - 1]).value - eval_integral(p, acc))
 
 
 def check_derivative(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
@@ -221,7 +224,8 @@ def check_ladder(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy = DEFAULT_A
     """Direct difference g(n+1, x) - g(n, x) against the single-integral
     ladder step; tolerance 1e-8 from the three quadrature budgets involved."""
     notes = "tolerance from the error budget of three 1e-12 quadratures"
-    return _run(ID_LADDER, _coerce_grid(grid), _POINT_LABEL, lambda p: _ladder_residual(p, acc), TOL_LADDER, notes)
+    g = _integrals(acc)  # an interior g(n, x) ends one difference and starts the next
+    return _run(ID_LADDER, _coerce_grid(grid), _POINT_LABEL, lambda p: _ladder_residual(p, acc, g), TOL_LADDER, notes)
 
 
 def check_path_equivalence(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
@@ -229,7 +233,18 @@ def check_path_equivalence(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy =
     residual is divided by n so one tolerance covers the n accumulated
     quadrature budgets."""
     notes = "residuals scaled by 1/n; tolerance per accumulated quadrature budget"
-    return _run(ID_PATH, _coerce_grid(grid), _POINT_LABEL, lambda p: _path_residual(p, acc) / p.n, TOL_PATH, notes)
+    points = _coerce_grid(grid)
+    top: dict[float, int] = {}  # the highest order asked for at each x
+    for p in points:
+        top[p.x] = max(top.get(p.x, 0), p.n)
+    paths: dict[float, list] = {}  # one climb per x: its prefixes are the lower orders' climbs
+
+    def residual(p: GridPoint) -> float:
+        if p.x not in paths:
+            paths[p.x] = _ladder_path(p.x, top[p.x], acc)
+        return _path_residual(p, acc, paths[p.x]) / p.n
+
+    return _run(ID_PATH, points, _POINT_LABEL, residual, TOL_PATH, notes)
 
 
 def check_series_constant(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:

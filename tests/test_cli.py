@@ -406,3 +406,16 @@ class TestWithoutNumpy:
         result = run_python("import sys, logsine; print('numpy' in sys.modules)")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+class TestImportCost:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # compare against a snapshot: site may preload modules of its own
+        result = run_python(
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import logsine.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & (set(sys.modules) - before)))\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

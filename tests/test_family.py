@@ -5,12 +5,16 @@ import pytest
 
 import logsine.family as family
 from logsine import (
+    DEFAULT_ACCURACY,
     Accuracy,
     DomainError,
     Evaluation,
     GenfuncPoint,
     GridPoint,
+    IdentityReport,
     NonConvergenceError,
+    audit_large_n,
+    audit_table,
     bernoulli_even,
     check_bernoulli_zeta,
     check_genfunc,
@@ -388,3 +392,45 @@ class TestEvaluateDispatch:
     def test_unknown_method(self):
         with pytest.raises(DomainError, match="method"):
             evaluate(GridPoint(1, 0.5), method="closed-form")
+
+
+class TestRecords:
+    # every record is an immutable named tuple that validates on construction
+    RECORDS = [
+        pytest.param(lambda: GridPoint(3, 0.5), id="GridPoint"),
+        pytest.param(lambda: GenfuncPoint(0.5, 0.3), id="GenfuncPoint"),
+        pytest.param(lambda: Accuracy(), id="Accuracy"),
+        pytest.param(lambda: Evaluation(1.0, 0.0, 1, True), id="Evaluation"),
+        pytest.param(lambda: IdentityReport("id", (1,), 0.0, 1.0, True, ""), id="IdentityReport"),
+        pytest.param(lambda: audit_table().rows[0], id="AuditRow"),
+        pytest.param(lambda: audit_large_n(ns=(10,)).rows[0], id="AsymptoticRow"),
+        pytest.param(lambda: audit_table(), id="TableAudit"),
+        pytest.param(lambda: audit_large_n(ns=(10,)), id="AsymptoticAudit"),
+    ]
+
+    @pytest.mark.parametrize("make", RECORDS)
+    def test_rejects_attribute_assignment(self, make):
+        record = make()
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_keyword_construction_and_defaults(self):
+        assert Accuracy() == DEFAULT_ACCURACY
+        assert Accuracy(max_series_terms=5).max_series_terms == 5
+        assert GridPoint(n=3, x=0.5) == GridPoint(3, 0.5)
+        assert GenfuncPoint(z=0.3, x=0.5) == GenfuncPoint(0.5, 0.3)
+        with pytest.raises(DomainError, match="z must be real"):
+            GenfuncPoint(x=0.5, z=0.95)
+
+    def test_repr_names_the_fields(self):
+        # perfbench span keys read this form
+        assert repr(GridPoint(3, 0.5)) == "GridPoint(n=3, x=0.5)"
+
+    def test_tuple_semantics(self):
+        p = GridPoint(3, 0.5)
+        assert p == (3, 0.5)
+        n, x = p
+        assert (n, x) == (3, 0.5)

@@ -15,6 +15,7 @@ from logsine import (
     zeta_even_bernoulli,
     zeta_even_direct,
 )
+from logsine.sequences import _PI_RATIONAL, _bernoulli_table
 
 
 class TestHarmonic:
@@ -48,7 +49,22 @@ class TestHarmonic:
         assert abs(gap) <= 1.5 * math.ulp(upper)
 
 
+def _convolution_bernoulli(kmax):
+    # B_0..B_kmax from sum_{j=0..k} C(k+1, j) B_j = 0, the O(k^2) Fraction
+    # recurrence the tangent-number table replaced
+    table = [Fraction(1)]
+    for k in range(1, kmax + 1):
+        table.append(-sum(math.comb(k + 1, j) * b for j, b in enumerate(table) if b) / (k + 1))
+    return table
+
+
 class TestBernoulli:
+    def test_table_equals_convolution_recurrence(self):
+        table = _bernoulli_table()
+        assert len(table) == 129
+        assert all(type(b) is Fraction for b in table)
+        assert list(table) == _convolution_bernoulli(128)
+
     def test_known_values(self):
         assert bernoulli_even(0) == Fraction(1)
         assert bernoulli_even(1) == Fraction(1, 6)
@@ -70,6 +86,13 @@ class TestBernoulli:
 
 
 class TestZetaEven:
+    def test_bernoulli_route_rounds_the_exact_rational_once(self):
+        # zeta(2m) = (-1)^(m+1) (2 pi)^(2m) B_2m / (2 (2m)!), with the rational pi, rounded once
+        for m in range(1, 65):
+            exact = Fraction((-1) ** (m + 1) * 2 ** (2 * m - 1), math.factorial(2 * m))
+            exact *= bernoulli_even(m) * _PI_RATIONAL ** (2 * m)
+            assert zeta_even_bernoulli(m) == float(exact), m
+
     def test_bernoulli_route_closed_forms(self):
         assert zeta_even_bernoulli(1) == pytest.approx(math.pi**2 / 6.0, rel=1e-14)
         assert zeta_even_bernoulli(2) == pytest.approx(math.pi**4 / 90.0, rel=1e-14)
@@ -147,3 +170,8 @@ class TestCotPartial:
             cot_partial(0.3, 0)
         with pytest.raises(DomainError):
             cot_partial(0.3, 65)
+
+    @pytest.mark.parametrize("z", [math.nan, -math.inf, "0.5", None, True, False])
+    def test_rejects_non_real_z(self, z):
+        with pytest.raises(DomainError, match="z must be real"):
+            cot_partial(z, 3)

@@ -145,6 +145,35 @@ class TestChecks:
         # 2 xs * 80 orders (partial sums to 60, tail probe to 80) + 8 closed forms
         assert len(calls) == 168
 
+    @pytest.mark.parametrize("check,integrals", [
+        # 11 orders x 9 scales of g, plus one ladder step per point
+        pytest.param(check_ladder, 99 + 90, id="ladder"),
+        # one climb of 10 rungs per scale, plus one direct integral per point
+        pytest.param(check_path_equivalence, 9 * 10 + 90, id="path_equivalence"),
+    ])
+    def test_check_evaluates_each_value_once(self, monkeypatch, check, integrals):
+        import logsine.family as family
+
+        calls = []
+        integrate_de = family.integrate_de
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return integrate_de(*args, **kwargs)
+
+        monkeypatch.setattr(family, "integrate_de", counting)
+        assert check().passed
+        assert len(calls) == integrals
+
+    def test_shared_values_keep_the_pointwise_residuals(self):
+        from logsine import GridPoint
+        from logsine.verify import _ladder_residual, _path_residual
+
+        grid = [(3, 0.5), (1, 0.5), (2, 1.0), (2, 0.5)]
+        points = [GridPoint(n, x) for n, x in grid]
+        assert check_ladder(grid).max_abs_residual == max(_ladder_residual(p) for p in points)
+        assert check_path_equivalence(grid).max_abs_residual == max(_path_residual(p) / p.n for p in points)
+
     def test_genfunc_accepts_zero_z(self):
         report = check_genfunc(xs=(0.5,), zs=(0.0, 0.3))
         assert report.passed
