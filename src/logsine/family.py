@@ -52,6 +52,18 @@ def _moment(integrand, acc: Accuracy) -> Evaluation:
         return exc.result
 
 
+def _averaged(n: int, kernel, a: float):
+    # u -> n (1-u)^(n-1) kernel(a u). Where the weight has underflowed the
+    # product would be +-0.0, which the Kahan sum takes like +0.0, and both
+    # kernels are finite on 0 <= a u < pi: skipping the call changes no bit
+    # and hides no non-finite sample.
+    def integrand(u: float) -> float:
+        w = (1.0 - u) ** (n - 1)
+        return n * w * kernel(a * u) if w else 0.0
+
+    return integrand
+
+
 def _integral(p: GridPoint, acc: Accuracy) -> Evaluation:
     # 2 H_n - 2 log(2 pi x) - q, q = n int_0^1 (1-u)^(n-1) log sinc(pi x u) du
     n, x = p.n, p.x
@@ -61,7 +73,7 @@ def _integral(p: GridPoint, acc: Accuracy) -> Evaluation:
         q = _moment(lambda u: _log_sinc(a * u) - math.log1p(-u), acc)
         q = q._replace(value=q.value - 1.0)
     else:
-        q = _moment(lambda u: n * (1.0 - u) ** (n - 1) * _log_sinc(a * u), acc)
+        q = _moment(_averaged(n, _log_sinc, a), acc)
     h = harmonic(n)
     floor = _EPS * (2.0 * h + 2.0 * (_LOG_2PI - log_x) + abs(q.value))  # rounding of the terms
     return Evaluation(_leading(h, x) - q.value, q.err_estimate + floor, q.evaluations, q.converged)
@@ -72,7 +84,7 @@ def _derivative_cot(p: GridPoint, acc: Accuracy) -> Evaluation:
     n, x = p.n, p.x
     if n == 1 and x == 1.0:
         raise DomainError("the derivative diverges like log(1-x) at n = 1, x = 1")
-    q = _moment(lambda u: n * (1.0 - u) ** (n - 1) * _cot_remainder(math.pi * x * u), acc)
+    q = _moment(_averaged(n, _cot_remainder, math.pi * x), acc)
     return q._replace(value=-2.0 - q.value, err_estimate=q.err_estimate + _EPS * (2.0 + abs(q.value)))
 
 

@@ -16,13 +16,17 @@ readers never observe a partial table.
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, localcontext
-from fractions import Fraction
+import operator
+import warnings
 from functools import lru_cache
 from numbers import Real
+from typing import TYPE_CHECKING
 
 from .config import DEFAULT_ACCURACY, Accuracy, _require_int
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Largest admissible m in B_{2m}; far beyond what any series here needs at
 # x <= 1, while keeping the exact rationals small.
@@ -33,24 +37,59 @@ BERNOULLI_MAX_INDEX = 64
 # 2m * 5e-41, so the single final rounding dominates; a bare
 # math.pi ** (2m) would instead drift by ~2m * 4e-17 and push values of
 # zeta(2m) below 1 once the true value saturates toward 1.
-_PI_RATIONAL = Fraction(3141592653589793238462643383279502884197, 10**39)
+_PI_RATIONAL = (3141592653589793238462643383279502884197, 10**39)  # numerator, denominator; in lowest terms
 
-_EULER_GAMMA = Decimal("0.5772156649015328606065120900824024310422")
+_EULER_GAMMA = "0.5772156649015328606065120900824024310422"
+_GAMMA_HI, _GAMMA_LO = 0.5772156649015329, -4.942915152430645e-18  # gamma - hi - lo ~ 2e-34
+# ln 2 split after 32 bits (Cody and Waite), so k * _LN2_HI is exact; ln 2 - hi - lo ~ 1e-26
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 # B_2k / (2k) for k = 1..10 as literals: harmonic() never builds the Bernoulli table
 _HARMONIC_TAIL = ((1, 12), (-1, 120), (1, 252), (-1, 240), (1, 132),
                   (-691, 32760), (1, 12), (-3617, 8160), (43867, 14364), (-174611, 6600))
+_FAST_TAIL = tuple(-b / d for b, d in _HARMONIC_TAIL[:5])
 
 
 def harmonic(n: int) -> float:
     """Harmonic number sum_{k=1..n} 1/k, correctly rounded: a compensated sum
-    below n = 100, then log n + gamma + 1/(2n) - sum_{k=1..10} B_2k / (2k n^(2k))
-    at 40 digits, rounded once (the first omitted term is below 3e-42)."""
+    below n = 100, then log n + gamma + 1/(2n) - sum_k B_2k / (2k n^(2k)),
+    first in doubles with a rigorous error bound, and at 40 digits only
+    where that bound straddles a rounding boundary or n > 2^53 (Ziv's strategy)."""
     _require_int("n", n, 1)
+    n = operator.index(n)
     if n < 100:
         return math.fsum(1.0 / k for k in range(1, n + 1))
+    if n <= 2**53:  # float(n) is exact
+        # n = f 2^k with f in [0.75, 1.5): f - 1 is exact and log n = k ln 2 + log1p(f - 1)
+        f, k = math.frexp(n)
+        if f < 0.75:
+            f, k = 2.0 * f, k - 1
+        log_f, nn = math.log1p(f - 1.0), float(n)
+        parts = [k * _LN2_HI, k * _LN2_LO, log_f, _GAMMA_HI, _GAMMA_LO, 0.5 / nn]
+        inv2, power = 1.0 / (nn * nn), 1.0
+        for c in _FAST_TAIL:
+            power *= inv2
+            parts.append(c * power)
+        # H_n is within e of the exact sum of parts: log1p errs by < 1 ulp in
+        # glibc, allowed 2; 0.5/nn by u/(2n) and the B terms, led by 1/(12n^2)
+        # with 4 roundings, by < u/(3n^2), together < 2u/n (u = 2^-53); k ln2_lo
+        # (k <= 53) with its constant's error, gamma_lo and the omitted
+        # B_12/(12n^12) < 2.2e-26 are each below 2^-78.
+        e = 2.0 * math.ulp(log_f) + 2.0**-52 / nn + 2.0**-70
+        upper = math.fsum(parts + [e])
+        # fsum rounds exactly, so equal bounds round H_n to that same double
+        if upper == math.fsum(parts + [-e]):
+            return upper
+    return _harmonic_decimal(n)
+
+
+def _harmonic_decimal(n: int) -> float:
+    # the series through ten terms at 40 digits, rounded once; the first
+    # omitted term is below 3e-42 for n >= 100
+    from decimal import Context, Decimal, localcontext
+
     with localcontext(Context(prec=40)):
         tail = sum(Decimal(b) / (d * Decimal(n) ** (2 * k)) for k, (b, d) in enumerate(_HARMONIC_TAIL, 1))
-        return float(Decimal(n).ln() + _EULER_GAMMA + Decimal(1) / (2 * n) - tail)
+        return float(Decimal(n).ln() + Decimal(_EULER_GAMMA) + Decimal(1) / (2 * n) - tail)
 
 
 @lru_cache(maxsize=1)
@@ -59,6 +98,8 @@ def _bernoulli_table() -> tuple[Fraction, ...]:
     # even-index values exposed by bernoulli_even are the same under either).
     # Tangent numbers in place, T_k = t[k-1]: start from (k-1)! and sweep
     # T_j <- (j-k) T_{j-1} + (j-k+2) T_j (Brent and Harvey 2011, Algorithm TangentNumbers).
+    from fractions import Fraction
+
     kmax = BERNOULLI_MAX_INDEX
     t = [math.factorial(k) for k in range(kmax)]
     for k in range(1, kmax):
@@ -91,8 +132,9 @@ def zeta_even_bernoulli(m: int) -> float:
     _require_int("m", m, 1)
     b = bernoulli_even(m)
     # (-1)^(m+1) B_2m is positive; int / int rounds the exact quotient correctly
-    numerator = 2 ** (2 * m - 1) * abs(b.numerator) * _PI_RATIONAL.numerator ** (2 * m)
-    return numerator / (math.factorial(2 * m) * b.denominator * _PI_RATIONAL.denominator ** (2 * m))
+    pi_num, pi_den = _PI_RATIONAL
+    numerator = 2 ** (2 * m - 1) * abs(b.numerator) * pi_num ** (2 * m)
+    return numerator / (math.factorial(2 * m) * b.denominator * pi_den ** (2 * m))
 
 
 def zeta_even_direct(m: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -142,7 +184,10 @@ def cot_partial(z: float, terms: int) -> float:
 
     For |z| <= 1/2 the truncation error is bounded by twice the first
     omitted term (the terms decay at least geometrically there).
+
+    Deprecated: its coefficients are -2 zeta(2m), which zeta_even gives.
     """
+    warnings.warn("cot_partial is deprecated; its coefficients are -2 * zeta_even(m)", DeprecationWarning, 2)
     # NaN fails the range test too
     if isinstance(z, bool) or not isinstance(z, Real) or not 0.0 < abs(z) < 1.0:
         raise DomainError("z must be real and satisfy 0 < |z| < 1")

@@ -54,3 +54,18 @@ def test_cot_route_accuracy(reference):
     rows = errors(reference["dg"], "derivative-cot")
     assert len(rows) == 736
     assert max(r[4] for r in rows) <= 1e-12
+
+
+# g(1, x) = 1 - log(2 pi x) + Cl_2(2 pi x) / (2 pi x) (the Clausen link), with
+# Cl_2(2 pi) = Cl_2(pi) = 0 and Cl_2(pi/2) = G, Catalan's constant; 30 digits
+CLAUSEN_ANCHORS = {
+    0.5: "-0.144729885849400174143427351353",  # 1 - log pi
+    1.0: "-0.837877066409345483560659472811",  # 1 - log 2 pi
+    0.25: "1.13153910277218269555057368304",  # 1 - log(pi/2) + 2G/pi
+}
+
+
+@pytest.mark.parametrize("x, anchor", CLAUSEN_ANCHORS.items(), ids=lambda v: str(v)[:6])
+def test_integral_route_meets_clausen_anchors(x, anchor):
+    ev = evaluate(GridPoint(1, x))
+    assert float(abs(Fraction(ev.value) - Fraction(anchor))) <= ev.err_estimate + 4 * EPS * abs(ev.value)

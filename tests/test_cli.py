@@ -419,3 +419,14 @@ class TestImportCost:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_import_loads_neither_decimal_nor_fractions(self):
+        # harmonic() imports decimal only on its fallback, and the Bernoulli table fractions
+        result = run_python(
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import logsine.cli\n"
+            "print(sorted({'decimal', 'fractions'} & (set(sys.modules) - before)))\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -32,6 +32,7 @@ from logsine import (
     zeta_even_bernoulli,
     zeta_even_direct,
 )
+from logsine.quadrature import _cot_remainder, _log_sinc
 
 # Apery's constant zeta(3), exact to double precision
 ZETA_3 = 1.2020569031595943
@@ -61,6 +62,11 @@ class TestGridPoint:
         with pytest.raises(DomainError, match="n must be an integer"):
             GridPoint(True, 0.5)
         assert eval_integral(GridPoint(np.int64(3), 0.5)) == eval_integral(GridPoint(3, 0.5))
+
+    @pytest.mark.parametrize("method", family.METHODS)
+    def test_numpy_order_past_the_harmonic_sum(self, method):
+        # from n = 100 harmonic() leaves the plain sum; a numpy order still gives the int order's value
+        assert evaluate(GridPoint(np.int64(150), 0.5), method=method) == evaluate(GridPoint(150, 0.5), method=method)
 
 
 class TestIntegerArguments:
@@ -434,3 +440,33 @@ class TestRecords:
         assert p == (3, 0.5)
         n, x = p
         assert (n, x) == (3, 0.5)
+
+
+class TestAveragedIntegrand:
+    # the integral and cot routes skip the kernel where (1-u)^(n-1) has
+    # underflowed to 0.0; the quadrature must not see the difference
+    CASES = [
+        pytest.param(kernel, n, x, id=f"{kernel.__name__}-{n}-{x:g}")
+        for kernel in (_log_sinc, _cot_remainder)
+        for n in (1, 10, 10**3, 10**4, 10**6)
+        for x in (1e-4, 0.5, 0.9999, 1.0)
+        if not (kernel is _cot_remainder and (n, x) == (1, 1.0))
+    ]
+
+    @pytest.mark.parametrize("kernel, n, x", CASES)
+    def test_matches_the_unskipped_integrand_bit_for_bit(self, kernel, n, x):
+        a = math.pi * x
+        skipped = family._moment(family._averaged(n, kernel, a), DEFAULT_ACCURACY)
+        naive = family._moment(lambda u: n * (1.0 - u) ** (n - 1) * kernel(a * u), DEFAULT_ACCURACY)
+        assert (skipped.value.hex(), skipped.err_estimate.hex()) == (naive.value.hex(), naive.err_estimate.hex())
+        assert (skipped.evaluations, skipped.converged) == (naive.evaluations, naive.converged)
+
+    def test_kernel_not_called_where_the_weight_underflows(self):
+        calls = []
+
+        def kernel(w):
+            calls.append(w)
+            return _log_sinc(w)
+
+        ev = family._moment(family._averaged(10**6, kernel, 0.5 * math.pi), DEFAULT_ACCURACY)
+        assert 0 < len(calls) < ev.evaluations

@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,7 +16,14 @@ from logsine import (
     zeta_even_bernoulli,
     zeta_even_direct,
 )
-from logsine.sequences import _PI_RATIONAL, _bernoulli_table
+from logsine import sequences
+from logsine.sequences import _PI_RATIONAL, _bernoulli_table, _harmonic_decimal
+
+
+def _log_uniform_orders(count: int = 10_000, seed: int = 20261018) -> list[int]:
+    # orders spread evenly in log n over [100, 10^6], where harmonic() takes the float fast path
+    rng = random.Random(seed)
+    return [round(math.exp(rng.uniform(math.log(100), math.log(10**6)))) for _ in range(count)]
 
 
 class TestHarmonic:
@@ -39,6 +47,41 @@ class TestHarmonic:
             harmonic(0)
         with pytest.raises(DomainError):
             harmonic(-3)
+
+    def test_matches_exact_rational_sum_from_90_to_30001(self):
+        # H_k = num / den with den = lcm(1..k), so each int / int is the exactly rounded H_k
+        num, den = 0, 1
+        for k in range(1, 30_002):
+            g = math.gcd(den, k)
+            num, den = num * (k // g) + den // g, den * (k // g)
+            if k >= 90:
+                assert harmonic(k) == num / den, k
+
+    def test_fast_path_matches_decimal_route(self):
+        for n in _log_uniform_orders():
+            assert harmonic(n) == _harmonic_decimal(n), n
+
+    def test_fast_path_falls_back_where_its_bound_straddles_a_rounding(self, monkeypatch):
+        fallbacks = []
+
+        def counted(n):
+            fallbacks.append(n)
+            return _harmonic_decimal(n)
+
+        monkeypatch.setattr(sequences, "_harmonic_decimal", counted)
+        orders = _log_uniform_orders()
+        for n in orders:
+            harmonic(n)
+        assert 0 < len(fallbacks) < len(orders) // 5
+
+    # 2^53 is the last order whose float is exact; past it, and past the float range, only the Decimal route runs
+    @pytest.mark.parametrize(
+        "n, expected",
+        [(2**53, 37.31401623457863), (2**53 + 1, 37.31401623457864), (10**400, 921.6112528625198)],
+        ids=["2^53", "2^53+1", "10^400"],
+    )
+    def test_orders_beyond_exact_floats(self, n, expected):
+        assert harmonic(n) == expected
 
     @given(st.integers(min_value=1, max_value=20000))
     def test_difference_is_reciprocal(self, n):
@@ -90,7 +133,7 @@ class TestZetaEven:
         # zeta(2m) = (-1)^(m+1) (2 pi)^(2m) B_2m / (2 (2m)!), with the rational pi, rounded once
         for m in range(1, 65):
             exact = Fraction((-1) ** (m + 1) * 2 ** (2 * m - 1), math.factorial(2 * m))
-            exact *= bernoulli_even(m) * _PI_RATIONAL ** (2 * m)
+            exact *= bernoulli_even(m) * Fraction(*_PI_RATIONAL) ** (2 * m)
             assert zeta_even_bernoulli(m) == float(exact), m
 
     def test_bernoulli_route_closed_forms(self):
@@ -140,6 +183,10 @@ class TestZetaEven:
 
 
 class TestCotPartial:
+    def test_is_deprecated(self):
+        with pytest.deprecated_call(match="zeta_even"):
+            cot_partial(0.25, 10)
+
     def test_symmetry_zero_at_half(self):
         assert abs(cot_partial(0.5, 40)) < 1e-12
 
