@@ -29,7 +29,6 @@ from .quadrature import Evaluation, cot_kernel, integrate_de, log_sin_kernel, we
 from .sequences import (
     BERNOULLI_MAX_INDEX,
     bernoulli_even,
-    cot_partial,
     harmonic,
     zeta_even_bernoulli,
     zeta_even_direct,
@@ -88,7 +87,6 @@ __all__ = [
     "check_path_equivalence",
     "check_series_constant",
     "cot_kernel",
-    "cot_partial",
     "eval_derivative_cot",
     "eval_derivative_series",
     "eval_integral",

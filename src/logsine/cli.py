@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+from functools import cache
 
 from .config import DEFAULT_ACCURACY, Accuracy, GridPoint
 from .errors import DomainError, NonConvergenceError
@@ -72,13 +73,9 @@ VERIFY_RUNNERS = {
     ID_GENFUNC: lambda acc: check_genfunc(acc=acc),
     ID_BERNOULLI_ZETA: lambda acc: check_bernoulli_zeta(acc=acc),
 }
-DEFAULT_VERIFY_SUITE = (
-    ID_DERIVATIVE,
-    ID_LADDER,
-    ID_SERIES_CONSTANT,
-    ID_GENFUNC,
-    ID_BERNOULLI_ZETA,
-)
+# path_equivalence only re-sums the steps that ladder_vs_diff checks one by
+# one, so the default run leaves it out; `--only` selects it.
+DEFAULT_VERIFY_SUITE = tuple(i for i in IDENTITY_IDS if i != ID_PATH)
 
 # Audits runnable by `audit`, in emission order, with the columns each
 # prints after "audit". A column names an attribute of the audit's rows,
@@ -208,14 +205,12 @@ def cmd_table(ns) -> int:
     points = [GridPoint(n, x) for n in ns.n_list for x in ns.x_list]
     acc = _accuracy(ns)
     n_max = max(ns.n_list)
-    paths = {}  # x -> g(1..n_max, x), climbed once at the first row with that x
+    climb = cache(lambda x: _ladder_path(x, n_max, acc))  # g(1..n_max, x), climbed once at the first row with that x
     converged = True
     rows = []
     for p in points:
         integral = _best_estimate(p, METHOD_INTEGRAL, lambda: evaluate(p, method=METHOD_INTEGRAL, acc=acc))
-        if p.x not in paths:
-            paths[p.x] = _ladder_path(p.x, n_max, acc)
-        ladder = _best_estimate(p, METHOD_LADDER, lambda: _checked(paths[p.x][p.n - 1]))
+        ladder = _best_estimate(p, METHOD_LADDER, lambda: _checked(climb(p.x)[p.n - 1]))
         converged = converged and integral.converged and ladder.converged
         rows.append(
             (p.n, p.x, integral.value, ladder.value,

@@ -9,6 +9,7 @@ that check, so copy a validated record as `Accuracy(**fields)`.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from numbers import Integral, Real
 
@@ -48,7 +49,8 @@ class GridPoint(namedtuple("GridPoint", "n x")):
     def __new__(cls, n: int, x: float):
         _require_int("n", n, 1)
         _require_scale(x)
-        return super().__new__(cls, n, x)
+        # an integer-like order (numpy's, say) is stored as an int, so routes run in float arithmetic
+        return super().__new__(cls, operator.index(n), x)
 
 
 class GenfuncPoint(namedtuple("GenfuncPoint", "x z")):

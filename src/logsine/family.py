@@ -260,17 +260,15 @@ def genfunc_partial(x: float, z: float, N: int, acc: Accuracy = DEFAULT_ACCURACY
     return _partial_sum(_genfunc_orders(x, N, acc), point.z)
 
 
-def genfunc_tail_bound(
-    x: float, z: float, N: int, acc: Accuracy = DEFAULT_ACCURACY, probe: int = _TAIL_PROBE
-) -> float:
+def genfunc_tail_bound(x: float, z: float, N: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """Empirical bound on the generating-function tail beyond N:
 
-        max_{n <= N+probe} |g(n, x)| * |z|^(N+1) / (1 - |z|)
+        max_{n <= N+20} |g(n, x)| * |z|^(N+1) / (1 - |z|)
 
-    The peak is probed empirically rather than assumed from any claimed
-    decay in n (the family in fact grows like 2 log n at fixed x).
+    The peak is probed empirically over a fixed 20 orders past N rather
+    than assumed from any claimed decay in n (the family in fact grows like
+    2 log n at fixed x).
     """
     _require_int("N", N, 1)
-    _require_int("probe", probe, 0)
     GenfuncPoint(x, z)
-    return _tail_bound(_genfunc_orders(x, N + probe, acc), z, N)
+    return _tail_bound(_genfunc_orders(x, N + _TAIL_PROBE, acc), z, N)

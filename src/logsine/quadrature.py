@@ -24,7 +24,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Callable
 
-from .config import DEFAULT_ACCURACY, Accuracy
+from .config import DEFAULT_ACCURACY, Accuracy, _require_int, _require_scale
 from .errors import DomainError, NonConvergenceError, NonFiniteSampleError
 
 # Beyond |t| = _T_MAX the abscissa rounds onto an endpoint; the truncated
@@ -53,8 +53,7 @@ class Evaluation(namedtuple("Evaluation", "value err_estimate evaluations conver
 
 def log_sin_kernel(x: float, u: float) -> float:
     """log(2 sin(pi x u)); integrable log singularity as u -> 0+."""
-    if not 0.0 < x <= 1.0:
-        raise DomainError("x must satisfy 0 < x <= 1")
+    _require_scale(x)
     if not 0.0 < u <= 1.0:
         raise DomainError("u must satisfy 0 < u <= 1")
     if x * u >= 1.0:
@@ -71,8 +70,7 @@ def cot_kernel(x: float, u: float) -> float:
     Uses the stable quotient w*cos(w)/sin(w) except for w < 1e-4, where
     the series 1 - w^2/3 - w^4/45 avoids the 0/0 quotient.
     """
-    if not 0.0 < x <= 1.0:
-        raise DomainError("x must satisfy 0 < x <= 1")
+    _require_scale(x)
     if not 0.0 <= u <= 1.0:
         raise DomainError("u must satisfy 0 <= u <= 1")
     if x * u >= 1.0:
@@ -86,8 +84,7 @@ def cot_kernel(x: float, u: float) -> float:
 
 def weight(n: int, u: float) -> float:
     """Averaging weight n (1-u)^(n-1); integrates to exactly 1 on [0, 1]."""
-    if n < 1:
-        raise DomainError("n must satisfy n >= 1")
+    _require_int("n", n, 1)
     if not 0.0 <= u <= 1.0:
         raise DomainError("u must satisfy 0 <= u <= 1")
     return float(n) * (1.0 - u) ** (n - 1)

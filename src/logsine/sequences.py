@@ -1,7 +1,6 @@
 """Foundational sequences: harmonic numbers, exact Bernoulli numbers, even
 zeta values by two independent routes (the exact-rational Bernoulli formula
-and a direct sum with an Euler-Maclaurin end correction), and the truncated
-cotangent expansion.
+and a direct sum with an Euler-Maclaurin end correction).
 
 The Bernoulli numbers come from the integer tangent numbers T_k (Brent and
 Harvey 2011): O(k^2) integer multiply-adds, then one exact rational per
@@ -17,9 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from functools import lru_cache
-from numbers import Real
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_ACCURACY, Accuracy, _require_int
@@ -176,29 +173,3 @@ def zeta_even(m: int) -> float:
         return zeta_even_bernoulli(m)
     return 1.0
 
-
-def cot_partial(z: float, terms: int) -> float:
-    """Truncation of the Bernoulli expansion of pi*cot(pi*z):
-
-        1/z + sum_{m=1..terms} (-1)^m 2^(2m) B_{2m} pi^(2m) z^(2m-1) / (2m)!
-
-    For |z| <= 1/2 the truncation error is bounded by twice the first
-    omitted term (the terms decay at least geometrically there).
-
-    Deprecated: its coefficients are -2 zeta(2m), which zeta_even gives.
-    """
-    warnings.warn("cot_partial is deprecated; its coefficients are -2 * zeta_even(m)", DeprecationWarning, 2)
-    # NaN fails the range test too
-    if isinstance(z, bool) or not isinstance(z, Real) or not 0.0 < abs(z) < 1.0:
-        raise DomainError("z must be real and satisfy 0 < |z| < 1")
-    _require_int("terms", terms, 1)
-    if terms > BERNOULLI_MAX_INDEX:
-        raise DomainError(f"terms must satisfy terms <= {BERNOULLI_MAX_INDEX}")
-    zz = z * z
-    power = z
-    parts = [1.0 / z]
-    for m in range(1, terms + 1):
-        # the z^(2m-1) coefficient of the expansion is -2 zeta(2m)
-        parts.append(-2.0 * zeta_even(m) * power)
-        power *= zz
-    return math.fsum(parts)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import cache
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _require_int
@@ -189,14 +190,7 @@ def _fd_residual(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
 def _integrals(acc: Accuracy):
     # g(n, x) by the canonical route, each (n, x) evaluated once for as long
     # as the returned function is held: one check call shares it
-    values: dict[tuple[int, float], float] = {}
-
-    def g(n: int, x: float) -> float:
-        if (n, x) not in values:
-            values[n, x] = eval_integral(GridPoint(n, x), acc)
-        return values[n, x]
-
-    return g
+    return cache(lambda n, x: eval_integral(GridPoint(n, x), acc))
 
 
 def _ladder_residual(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY, g=None) -> float:
@@ -234,17 +228,9 @@ def check_path_equivalence(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy =
     quadrature budgets."""
     notes = "residuals scaled by 1/n; tolerance per accumulated quadrature budget"
     points = _coerce_grid(grid)
-    top: dict[float, int] = {}  # the highest order asked for at each x
-    for p in points:
-        top[p.x] = max(top.get(p.x, 0), p.n)
-    paths: dict[float, list] = {}  # one climb per x: its prefixes are the lower orders' climbs
-
-    def residual(p: GridPoint) -> float:
-        if p.x not in paths:
-            paths[p.x] = _ladder_path(p.x, top[p.x], acc)
-        return _path_residual(p, acc, paths[p.x]) / p.n
-
-    return _run(ID_PATH, points, _POINT_LABEL, residual, TOL_PATH, notes)
+    # one climb per x, to the highest order asked for there: its prefixes are the lower orders' climbs
+    climb = cache(lambda x: _ladder_path(x, max(p.n for p in points if p.x == x), acc))
+    return _run(ID_PATH, points, _POINT_LABEL, lambda p: _path_residual(p, acc, climb(p.x)) / p.n, TOL_PATH, notes)
 
 
 def check_series_constant(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
@@ -302,16 +288,15 @@ def check_genfunc(
     sum; tolerance 1e-8 plus the largest empirical geometric tail bound."""
     _require_int("N", N, 1)
     grid = [(p.x, p.z) for p in (GenfuncPoint(x, z) for x in xs for z in zs)]  # validate up front
-    orders: dict[float, list[float]] = {}  # g(1..N+_TAIL_PROBE, x), shared by every z at x
+    orders = cache(lambda x: _genfunc_orders(x, N + _TAIL_PROBE, acc))  # g(1..N+_TAIL_PROBE, x), shared by every z at x
     tails = [0.0]
 
     def residual(point: tuple[float, float]) -> float:
         x, z = point
         closed = genfunc_closed(GenfuncPoint(x, z), acc)
-        if x not in orders:
-            orders[x] = _genfunc_orders(x, N + _TAIL_PROBE, acc)
-        tails.append(_tail_bound(orders[x], z, N))
-        return abs(closed - _partial_sum(orders[x][:N], z))
+        values = orders(x)
+        tails.append(_tail_bound(values, z, N))
+        return abs(closed - _partial_sum(values[:N], z))
 
     return _run(
         ID_GENFUNC, grid, "(x={0[0]:g}, z={0[1]:g})", residual, lambda: TOL_GENFUNC_BASE + max(tails),

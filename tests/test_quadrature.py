@@ -1,6 +1,7 @@
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -87,6 +88,10 @@ class TestWeight:
             weight(0, 0.5)
         with pytest.raises(DomainError):
             weight(2, -0.1)
+
+    def test_numpy_order_accepted(self):
+        # the order check rejects 2.5 and True but takes any integer type
+        assert weight(np.int64(5), 0.3) == weight(5, 0.3)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 25, 50])
     def test_normalizes_to_one(self, n):

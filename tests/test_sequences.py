@@ -11,13 +11,12 @@ from logsine import (
     Accuracy,
     DomainError,
     bernoulli_even,
-    cot_partial,
     harmonic,
     zeta_even_bernoulli,
     zeta_even_direct,
 )
 from logsine import sequences
-from logsine.sequences import _PI_RATIONAL, _bernoulli_table, _harmonic_decimal
+from logsine.sequences import _PI_RATIONAL, _bernoulli_table, _harmonic_decimal, zeta_even
 
 
 def _log_uniform_orders(count: int = 10_000, seed: int = 20261018) -> list[int]:
@@ -173,6 +172,38 @@ class TestZetaEven:
         direct = zeta_even_direct(m)
         assert abs(zeta_even_bernoulli(m) - direct) / direct <= 2e-15
 
+    @staticmethod
+    def _cot_expansion(z: float, terms: int) -> float:
+        # pi cot(pi z) = 1/z - 2 sum_{m>=1} zeta(2m) z^(2m-1), truncated after `terms` terms
+        return math.fsum([1.0 / z] + [-2.0 * zeta_even(m) * z ** (2 * m - 1) for m in range(1, terms + 1)])
+
+    def test_single_term_of_the_cotangent_expansion(self):
+        # one term of the expansion is 1/z - 2 zeta(2) z = 1/z - (pi^2/3) z
+        z = 0.1
+        expected = 1.0 / z - (math.pi**2 / 3.0) * z
+        assert self._cot_expansion(z, 1) == pytest.approx(expected, rel=1e-14)
+
+    def test_cotangent_expansion_vanishes_at_half(self):
+        assert abs(self._cot_expansion(0.5, 40)) < 1e-12
+
+    def test_cotangent_expansion_at_quarter_is_pi(self):
+        assert self._cot_expansion(0.25, 40) == pytest.approx(math.pi, abs=1e-12)
+
+    @given(st.floats(min_value=1e-3, max_value=0.5), st.booleans())
+    def test_cotangent_expansion_tracks_direct_cotangent(self, z, negate):
+        if negate:
+            z = -z
+        direct = math.pi * math.cos(math.pi * z) / math.sin(math.pi * z)
+        assert abs(self._cot_expansion(z, 40) - direct) <= 1e-10
+
+    def test_series_coefficients_follow_the_bernoulli_route_then_saturate(self):
+        # the expansion's coefficients: the Bernoulli route up to its cap, exactly 1.0 beyond it
+        assert [zeta_even(m) for m in range(1, 65)] == [zeta_even_bernoulli(m) for m in range(1, 65)]
+        assert zeta_even(65) == zeta_even(200) == 1.0
+        for m in (0, -1, 2.5, True):
+            with pytest.raises(DomainError):
+                zeta_even(m)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             zeta_even_bernoulli(0)
@@ -181,44 +212,3 @@ class TestZetaEven:
         with pytest.raises(DomainError):
             zeta_even_direct(0)
 
-
-class TestCotPartial:
-    def test_is_deprecated(self):
-        with pytest.deprecated_call(match="zeta_even"):
-            cot_partial(0.25, 10)
-
-    def test_symmetry_zero_at_half(self):
-        assert abs(cot_partial(0.5, 40)) < 1e-12
-
-    def test_quarter_gives_pi(self):
-        assert cot_partial(0.25, 40) == pytest.approx(math.pi, abs=1e-12)
-
-    def test_single_term_matches_even_zeta_form(self):
-        # one term of the expansion is 1/z - 2 zeta(2) z = 1/z - (pi^2/3) z
-        z = 0.1
-        expected = 1.0 / z - (math.pi**2 / 3.0) * z
-        assert cot_partial(z, 1) == pytest.approx(expected, rel=1e-14)
-
-    @given(st.floats(min_value=1e-3, max_value=0.5), st.booleans())
-    def test_tracks_direct_cotangent(self, z, negate):
-        if negate:
-            z = -z
-        direct = math.pi * math.cos(math.pi * z) / math.sin(math.pi * z)
-        assert abs(cot_partial(z, 40) - direct) <= 1e-10
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            cot_partial(0.0, 10)
-        with pytest.raises(DomainError):
-            cot_partial(1.0, 10)
-        with pytest.raises(DomainError):
-            cot_partial(-1.2, 10)
-        with pytest.raises(DomainError):
-            cot_partial(0.3, 0)
-        with pytest.raises(DomainError):
-            cot_partial(0.3, 65)
-
-    @pytest.mark.parametrize("z", [math.nan, -math.inf, "0.5", None, True, False])
-    def test_rejects_non_real_z(self, z):
-        with pytest.raises(DomainError, match="z must be real"):
-            cot_partial(z, 3)

@@ -208,6 +208,50 @@ class TestChecks:
         assert report.max_abs_residual == math.inf
         assert "evaluation failures" in report.notes
 
+    def test_failed_climb_fails_every_point_at_its_x(self, monkeypatch):
+        import logsine.verify as verify
+        from logsine import NonFiniteSampleError
+
+        climbs = []
+        ladder_path = verify._ladder_path
+
+        def failing(x, n_max, acc):
+            climbs.append((x, n_max))
+            if x == 0.5:
+                raise NonFiniteSampleError("injected")
+            return ladder_path(x, n_max, acc)
+
+        monkeypatch.setattr(verify, "_ladder_path", failing)
+        report = check_path_equivalence(grid=[(2, 0.3), (1, 0.5), (1, 0.3), (3, 0.5)])
+        assert not report.passed
+        assert report.max_abs_residual == math.inf
+        # only the points at x = 0.5 fail; the shared climb at x = 0.3 still scores both of its points
+        assert report.notes.split("; evaluation failures: ")[1] == "(n=1, x=0.5): injected; (n=3, x=0.5): injected"
+        # a failed climb is not kept: the next point at its x climbs again
+        assert climbs == [(0.3, 2), (0.5, 3), (0.5, 3)]
+
+    def test_failed_integral_fails_every_difference_that_reads_it(self, monkeypatch):
+        import logsine.verify as verify
+        from logsine import NonFiniteSampleError
+
+        calls = []
+        eval_integral = verify.eval_integral
+
+        def failing(p, acc):
+            calls.append((p.n, p.x))
+            if (p.n, p.x) == (2, 0.5):
+                raise NonFiniteSampleError("injected")
+            return eval_integral(p, acc)
+
+        monkeypatch.setattr(verify, "eval_integral", failing)
+        report = check_ladder(grid=[(1, 0.5), (2, 0.5), (1, 0.3)])
+        assert not report.passed
+        assert report.max_abs_residual == math.inf
+        # g(2, 0.5) ends one difference and starts the next; the point at x = 0.3 stays finite
+        assert report.notes.split("; evaluation failures: ")[1] == "(n=1, x=0.5): injected; (n=2, x=0.5): injected"
+        # a failed value is not kept: the second difference evaluates g(2, 0.5) again
+        assert calls == [(2, 0.5), (3, 0.5), (2, 0.5), (2, 0.3), (1, 0.3)]
+
 
 class TestAuditsAlwaysComplete:
     def test_table_rows_emitted_despite_budget_exhaustion(self):
