@@ -11,6 +11,7 @@ from .errors import DomainError, NonConvergenceError, NonFiniteSampleError, Quad
 from .family import (
     CONSTANT_AS_PRINTED,
     CONSTANT_CORRECTED,
+    LADDER_MAX_ORDER,
     METHOD_DERIVATIVE_COT,
     METHOD_DERIVATIVE_SERIES,
     METHOD_INTEGRAL,
@@ -68,6 +69,7 @@ __all__ = [
     "GridPoint",
     "IDENTITY_IDS",
     "IdentityReport",
+    "LADDER_MAX_ORDER",
     "METHOD_DERIVATIVE_COT",
     "METHOD_DERIVATIVE_SERIES",
     "METHOD_INTEGRAL",

@@ -29,6 +29,7 @@ from .family import (
     METHODS,
     Evaluation,
     _ladder_path,
+    _require_climbable,
     evaluate,
 )
 from .quadrature import _checked
@@ -205,6 +206,7 @@ def cmd_table(ns) -> int:
     points = [GridPoint(n, x) for n in ns.n_list for x in ns.x_list]
     acc = _accuracy(ns)
     n_max = max(ns.n_list)
+    _require_climbable(n_max)  # the g_ladder column climbs to n_max: refuse before any quadrature
     climb = cache(lambda x: _ladder_path(x, n_max, acc))  # g(1..n_max, x), climbed once at the first row with that x
     converged = True
     rows = []

@@ -34,6 +34,10 @@ METHOD_DERIVATIVE_COT = "derivative-cot"
 METHOD_DERIVATIVE_SERIES = "derivative-series"
 METHODS = (METHOD_INTEGRAL, METHOD_LADDER, METHOD_DERIVATIVE_COT, METHOD_DERIVATIVE_SERIES)
 
+# highest order the ladder climbs to: one quadrature per rung, ~100 us each,
+# so a climb ends in about a second
+LADDER_MAX_ORDER = 10_000
+
 _EPS = math.ulp(1.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -123,10 +127,16 @@ def _ladder_delta(n: int, x: float, acc: Accuracy) -> Evaluation:
     return q._replace(value=2.0 / (n + 1) - q.value)
 
 
+def _require_climbable(n: int) -> None:
+    if n > LADDER_MAX_ORDER:
+        raise DomainError(f"n must satisfy n <= {LADDER_MAX_ORDER} (LADDER_MAX_ORDER) on the ladder route")
+
+
 def _ladder_path(x: float, n_max: int, acc: Accuracy) -> list[Evaluation]:
     # g(1, x), ..., g(n_max, x) from one climb: each rung adds one ladder
     # step to the rung below, so every prefix sums in the same order as a
     # climb that stops there
+    _require_climbable(n_max)
     path = [_integral(GridPoint(1, x), acc)]
     for k in range(1, n_max):
         below, step = path[-1], _ladder_delta(k, x, acc)

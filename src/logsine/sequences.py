@@ -2,6 +2,11 @@
 zeta values by two independent routes (the exact-rational Bernoulli formula
 and a direct sum with an Euler-Maclaurin end correction).
 
+Harmonic numbers are correctly rounded by Ziv's strategy (Ziv 1991): a
+double-precision sum with a rigorous error bound, and where that bound
+straddles a rounding boundary, the same series in integer fixed point
+(Brent and Zimmermann, Modern Computer Arithmetic, 4.4).
+
 The Bernoulli numbers come from the integer tangent numbers T_k (Brent and
 Harvey 2011): O(k^2) integer multiply-adds, then one exact rational per
 B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)). The zeta route rounds one exact
@@ -36,7 +41,6 @@ BERNOULLI_MAX_INDEX = 64
 # zeta(2m) below 1 once the true value saturates toward 1.
 _PI_RATIONAL = (3141592653589793238462643383279502884197, 10**39)  # numerator, denominator; in lowest terms
 
-_EULER_GAMMA = "0.5772156649015328606065120900824024310422"
 _GAMMA_HI, _GAMMA_LO = 0.5772156649015329, -4.942915152430645e-18  # gamma - hi - lo ~ 2e-34
 # ln 2 split after 32 bits (Cody and Waite), so k * _LN2_HI is exact; ln 2 - hi - lo ~ 1e-26
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
@@ -44,13 +48,19 @@ _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 _HARMONIC_TAIL = ((1, 12), (-1, 120), (1, 252), (-1, 240), (1, 132),
                   (-691, 32760), (1, 12), (-3617, 8160), (43867, 14364), (-174611, 6600))
 _FAST_TAIL = tuple(-b / d for b, d in _HARMONIC_TAIL[:5])
+# the second stage counts in units of 2^-P; ln 2 and gamma are rounded to the
+# nearest unit (from 600-bit mpmath values), so each is within half a unit
+_P = 160
+_LN2_FIXED = 0xB17217F7D1CF79ABC9E3B39803F2F6AF40F34326
+_GAMMA_FIXED = 0x93C467E37DB0C7A4D1BE3F810152CB56A1CECC3B
 
 
 def harmonic(n: int) -> float:
     """Harmonic number sum_{k=1..n} 1/k, correctly rounded: a compensated sum
     below n = 100, then log n + gamma + 1/(2n) - sum_k B_2k / (2k n^(2k)),
-    first in doubles with a rigorous error bound, and at 40 digits only
-    where that bound straddles a rounding boundary or n > 2^53 (Ziv's strategy)."""
+    first in doubles with a rigorous error bound, and in 160-bit integer
+    fixed point only where that bound straddles a rounding boundary or
+    n > 2^53 (Ziv's strategy)."""
     _require_int("n", n, 1)
     n = operator.index(n)
     if n < 100:
@@ -76,17 +86,50 @@ def harmonic(n: int) -> float:
         # fsum rounds exactly, so equal bounds round H_n to that same double
         if upper == math.fsum(parts + [-e]):
             return upper
-    return _harmonic_decimal(n)
+    else:  # the same reduction in integers
+        k = n.bit_length()
+        if 4 * n < 3 << k:
+            k -= 1
+    return _harmonic_fixed(n, k)
 
 
-def _harmonic_decimal(n: int) -> float:
-    # the series through ten terms at 40 digits, rounded once; the first
-    # omitted term is below 3e-42 for n >= 100
-    from decimal import Context, Decimal, localcontext
-
-    with localcontext(Context(prec=40)):
-        tail = sum(Decimal(b) / (d * Decimal(n) ** (2 * k)) for k, (b, d) in enumerate(_HARMONIC_TAIL, 1))
-        return float(Decimal(n).ln() + Decimal(_EULER_GAMMA) + Decimal(1) / (2 * n) - tail)
+def _harmonic_fixed(n: int, k: int) -> float:
+    # Ziv's second stage: the series through ten terms as an integer X in
+    # units of 2^-P, with log n = k ln 2 + 2 atanh(s), s = (n - 2^k)/(n + 2^k),
+    # |s| <= 1/5 as n / 2^k is in [0.75, 1.5). Every quotient is a floor, so
+    # each errs by less than one unit. Error budget, in units, for n >= 100:
+    # - atanh: S = floor(|s| 2^P) and Q = floor(s^2 2^P) err by < 1. The
+    #   power t_j of |s|^(2j+1) errs by e_j < e_(j-1) s^2 + |s|^(2j-1) + 1,
+    #   so by < 1.25, and t_j // (2j+1) by < 2.25. The loop ends at the first
+    #   t_J = 0, whose true value is < 1.25, and the tail it drops is below
+    #   1.25 / (1 - s^2) < 1.31. At most 35 terms are nonzero (5^71 > 2^P),
+    #   so 2 atanh errs by < 2 (35 * 2.25 + 1.31) < 161.
+    # - k ln 2 by k/2, gamma by 1/2 and 1/(2n) by 1.
+    # - the B terms: 1/n^2 and its powers err by < 1.01, which the
+    #   coefficients |B_2k/(2k)| (summing to < 30.2) scale to < 31 and the
+    #   floors raise to < 41; a power that floors to 0 drops terms worth
+    #   < 31 more.
+    # - the first omitted term |B_22/(22 n^22)| < 282e-44 < 2^-137.
+    # So e = 2^(P-137) + 512 + k units bound |X - 2^P H_n|.
+    d, m = n - (1 << k), n + (1 << k)
+    t, q = (abs(d) << _P) // m, (d * d << _P) // (m * m)
+    atanh, j = 0, 1
+    while t:
+        atanh += t // j
+        t, j = t * q >> _P, j + 2
+    x = k * _LN2_FIXED + (2 * atanh if d >= 0 else -2 * atanh) + _GAMMA_FIXED + (1 << _P) // (2 * n)
+    inv2 = (1 << _P) // (n * n)
+    power = inv2
+    for b, den in _HARMONIC_TAIL:
+        if not power:
+            break
+        x -= b * power // den
+        power = power * inv2 >> _P
+    e = (1 << (_P - 137)) + 512 + k
+    # int / int rounds correctly, so equal bounds round H_n to that double;
+    # otherwise X itself, rounded once
+    upper = (x + e) / (1 << _P)
+    return upper if upper == (x - e) / (1 << _P) else x / (1 << _P)
 
 
 @lru_cache(maxsize=1)

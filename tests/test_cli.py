@@ -9,7 +9,7 @@ import pytest
 
 import logsine.cli as cli
 import logsine.family as family
-from logsine import Accuracy, Evaluation, GridPoint, IdentityReport, NonConvergenceError, evaluate
+from logsine import LADDER_MAX_ORDER, Accuracy, Evaluation, GridPoint, IdentityReport, NonConvergenceError, evaluate
 
 G_1_HALF = 1.0 - math.log(math.pi)
 ZETA_3 = 1.2020569031595943
@@ -195,6 +195,22 @@ class TestTable:
         code, _, err = run(capsys, "table", "--n-list", "1", "--x-list", "")
         assert code == 2
         assert "non-empty" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("table", "--n-list", "3,1000000", "--x-list", "0.5"), id="table"),
+            pytest.param(("eval", "--method", "ladder", "--n", "1000000", "--x", "0.5"), id="eval"),
+        ],
+    )
+    def test_ladder_past_its_cap_exit_2_before_any_quadrature(self, capsys, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(family, "integrate_de", lambda f, acc: calls.append(f))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"n <= {LADDER_MAX_ORDER} (LADDER_MAX_ORDER)" in err
+        assert calls == []
 
     def test_bad_grid_emits_nothing(self, capsys):
         code, out, _ = run(capsys, "table", "--n-list", "1,2", "--x-list", "0.5,1.5")
@@ -421,7 +437,7 @@ class TestImportCost:
         assert result.stdout.strip() == "[]"
 
     def test_import_loads_neither_decimal_nor_fractions(self):
-        # harmonic() imports decimal only on its fallback, and the Bernoulli table fractions
+        # nothing imports decimal, and only the Bernoulli table imports fractions
         result = run_python(
             "import sys\n"
             "before = set(sys.modules)\n"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from logsine import (
     GenfuncPoint,
     GridPoint,
     IdentityReport,
+    LADDER_MAX_ORDER,
     NonConvergenceError,
     audit_large_n,
     audit_table,
@@ -64,6 +66,19 @@ class TestGridPoint:
         with pytest.raises(DomainError, match="n must be an integer"):
             GridPoint(True, 0.5)
         assert eval_integral(GridPoint(np.int64(3), 0.5)) == eval_integral(GridPoint(3, 0.5))
+
+    def test_other_number_types_keep_their_rules(self):
+        # int and float skip the ABC test; everything else still takes it
+        assert GridPoint(3, np.float64(0.5)) == GridPoint(3, 0.5)
+        assert GridPoint(3, Fraction(1, 2)) == GridPoint(3, 0.5)
+        with pytest.raises(DomainError, match="x must satisfy 0 < x <= 1"):
+            GridPoint(3, np.float64(math.nan))
+        with pytest.raises(DomainError, match="x must satisfy 0 < x <= 1"):
+            GridPoint(3, True)
+        with pytest.raises(DomainError, match="n must be an integer"):
+            GridPoint(Fraction(3), 0.5)
+        with pytest.raises(DomainError, match="n must be an integer"):
+            GridPoint(np.float64(3.0), 0.5)
 
     @pytest.mark.parametrize("method", family.METHODS)
     def test_numpy_order_past_the_harmonic_sum(self, method):
@@ -209,6 +224,41 @@ class TestNonConvergence:
     def test_converged_results_say_so(self):
         assert evaluate(GridPoint(3, 0.5), method="ladder").converged is True
         assert evaluate(GridPoint(3, 0.5), method="derivative-series").converged is True
+
+
+def count_quadratures(monkeypatch, engine=None):
+    # replaces the engine behind every route with a counting wrapper
+    calls = []
+    engine = engine or family.integrate_de
+
+    def counting(f, acc):
+        calls.append(f)
+        return engine(f, acc)
+
+    monkeypatch.setattr(family, "integrate_de", counting)
+    return calls
+
+
+class TestLadderCap:
+    # a climb runs one quadrature per rung, so an order past the cap is refused before any
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: evaluate(GridPoint(LADDER_MAX_ORDER + 1, 0.5), method="ladder"), id="evaluate"),
+            pytest.param(lambda: eval_via_ladder(GridPoint(10**6, 0.5)), id="eval_via_ladder"),
+        ],
+    )
+    def test_refused_before_any_quadrature(self, monkeypatch, call):
+        calls = count_quadratures(monkeypatch)
+        with pytest.raises(DomainError, match=f"n <= {LADDER_MAX_ORDER}"):
+            call()
+        assert calls == []
+
+    def test_the_cap_itself_is_climbed(self, monkeypatch):
+        # a stub engine makes the full climb cheap: one integral, then one step per rung
+        calls = count_quadratures(monkeypatch, lambda f, acc: Evaluation(0.0, 0.0, 1, True))
+        assert evaluate(GridPoint(LADDER_MAX_ORDER, 0.5), method="ladder").evaluations == LADDER_MAX_ORDER
+        assert len(calls) == LADDER_MAX_ORDER
 
 
 class TestDerivativeRoutes:

@@ -1,6 +1,8 @@
 import math
 import random
-from decimal import Decimal
+import subprocess
+import sys
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -16,7 +18,36 @@ from logsine import (
     zeta_even_direct,
 )
 from logsine import sequences
-from logsine.sequences import _PI_RATIONAL, _bernoulli_table, _harmonic_decimal, zeta_even
+from logsine.sequences import _HARMONIC_TAIL, _PI_RATIONAL, _bernoulli_table, zeta_even
+
+# the orders of the benchmark lattice where the fast path's bound straddles a rounding
+LATTICE_FALLBACK_ORDERS = (178, 205, 316, 365, 316228, 421697, 649382)
+
+
+def _decimal_harmonic(n: int) -> float:
+    # the oracle: the same ten-term series summed at 40 digits, rounded once;
+    # the first omitted term is below 3e-42 for n >= 100
+    with localcontext(Context(prec=40)):
+        tail = sum(Decimal(b) / (d * Decimal(n) ** (2 * k)) for k, (b, d) in enumerate(_HARMONIC_TAIL, 1))
+        gamma = Decimal("0.5772156649015328606065120900824024310422")
+        return float(Decimal(n).ln() + gamma + Decimal(1) / (2 * n) - tail)
+
+
+def _exact_harmonic(n: int) -> float:
+    return float(sum(Fraction(1, k) for k in range(1, n + 1)))
+
+
+def _count_second_stage(monkeypatch) -> list[int]:
+    # the orders harmonic() hands to its fixed-point stage, in call order
+    calls = []
+    stage = sequences._harmonic_fixed
+
+    def counted(n, k):
+        calls.append(n)
+        return stage(n, k)
+
+    monkeypatch.setattr(sequences, "_harmonic_fixed", counted)
+    return calls
 
 
 def _log_uniform_orders(count: int = 10_000, seed: int = 20261018) -> list[int]:
@@ -58,22 +89,37 @@ class TestHarmonic:
 
     def test_fast_path_matches_decimal_route(self):
         for n in _log_uniform_orders():
-            assert harmonic(n) == _harmonic_decimal(n), n
+            assert harmonic(n) == _decimal_harmonic(n), n
 
     def test_fast_path_falls_back_where_its_bound_straddles_a_rounding(self, monkeypatch):
-        fallbacks = []
-
-        def counted(n):
-            fallbacks.append(n)
-            return _harmonic_decimal(n)
-
-        monkeypatch.setattr(sequences, "_harmonic_decimal", counted)
+        fallbacks = _count_second_stage(monkeypatch)
         orders = _log_uniform_orders()
         for n in orders:
             harmonic(n)
         assert 0 < len(fallbacks) < len(orders) // 5
 
-    # 2^53 is the last order whose float is exact; past it, and past the float range, only the Decimal route runs
+    def test_fixed_point_stage_matches_exact_sums(self):
+        # the second stage alone, at every order from 100 to 2,000 and not only
+        # where the fast path hands over; k by the integer form of the reduction
+        num, den = 0, 1
+        for n in range(1, 2_001):
+            g = math.gcd(den, n)
+            num, den = num * (n // g) + den // g, den * (n // g)
+            if n >= 100:
+                k = n.bit_length()
+                if 4 * n < 3 << k:
+                    k -= 1
+                assert sequences._harmonic_fixed(n, k) == num / den, n
+
+    def test_lattice_fallback_orders(self, monkeypatch):
+        # exact sums below 10^4, the oracle above; each order takes the second stage
+        calls = _count_second_stage(monkeypatch)
+        for n in LATTICE_FALLBACK_ORDERS:
+            expected = _exact_harmonic(n) if n < 10**4 else _decimal_harmonic(n)
+            assert harmonic(n) == expected, n
+        assert calls == list(LATTICE_FALLBACK_ORDERS)
+
+    # 2^53 is the last order whose float is exact; past it, and past the float range, only the second stage runs
     @pytest.mark.parametrize(
         "n, expected",
         [(2**53, 37.31401623457863), (2**53 + 1, 37.31401623457864), (10**400, 921.6112528625198)],
@@ -81,6 +127,14 @@ class TestHarmonic:
     )
     def test_orders_beyond_exact_floats(self, n, expected):
         assert harmonic(n) == expected
+        assert harmonic(n) == _decimal_harmonic(n)
+
+    def test_no_order_loads_decimal(self):
+        # a fresh interpreter, which finds logsine where this one did
+        code = "import sys\nfrom logsine import harmonic\nharmonic(178)\nharmonic(10**400)\nprint('decimal' in sys.modules)\n"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     @given(st.integers(min_value=1, max_value=20000))
     def test_difference_is_reciprocal(self, n):
