@@ -15,6 +15,10 @@ from numbers import Integral, Real
 
 from .errors import DomainError
 
+# highest refinement budget an Accuracy accepts: the engine caches every level
+# it reaches, process-wide, 51,281 nodes in all at the default 12, 820,511 at 16
+MAX_QUAD_REFINEMENTS = 16
+
 
 def _require_int(name: str, value, minimum: int) -> None:
     # bool is an Integral, but True as an order or a count is a caller's slip;
@@ -87,6 +91,8 @@ class Accuracy(namedtuple("Accuracy", "quad_rel_tol series_abs_tol max_series_te
         _require_tolerance("series_abs_tol", series_abs_tol)
         _require_int("max_series_terms", max_series_terms, 1)
         _require_int("max_quad_refinements", max_quad_refinements, 1)
+        if max_quad_refinements > MAX_QUAD_REFINEMENTS:
+            raise DomainError(f"max_quad_refinements must satisfy max_quad_refinements <= {MAX_QUAD_REFINEMENTS}")
         return super().__new__(cls, quad_rel_tol, series_abs_tol, max_series_terms, max_quad_refinements)
 
 

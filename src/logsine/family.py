@@ -123,7 +123,13 @@ def _ladder_delta(n: int, x: float, acc: Accuracy) -> Evaluation:
         # K = 1 - 2u is -1 at u = 1: as in _integral, with int_0^1 K log(1-u) du = 1/2
         q = _moment(lambda u: (1.0 - 2.0 * u) * (_log_sinc(math.pi * u) - math.log1p(-u)), acc)
         return q._replace(value=0.5 - q.value)
-    q = _moment(lambda u: ((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) * _log_sinc(math.pi * x * u), acc)
+
+    def integrand(u: float) -> float:
+        # as in _averaged, no kernel call where (1-u)^(n-1) has underflowed
+        w = (1.0 - u) ** (n - 1)
+        return ((n + 1) * (1.0 - u) - n) * w * _log_sinc(math.pi * x * u) if w else 0.0
+
+    q = _moment(integrand, acc)
     return q._replace(value=2.0 / (n + 1) - q.value)
 
 

@@ -178,48 +178,32 @@ def _coerce_grid(grid: Iterable) -> tuple[GridPoint, ...]:
     return tuple(points)
 
 
-def _fd_residual(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    # central finite difference of the canonical route against the
-    # cotangent-average derivative, both as x * d/dx g
-    upper = eval_integral(GridPoint(p.n, p.x + FD_STEP), acc)
-    lower = eval_integral(GridPoint(p.n, p.x - FD_STEP), acc)
-    fd = p.x * (upper - lower) / (2.0 * FD_STEP)
-    return abs(fd - eval_derivative_cot(p, acc))
-
-
-def _integrals(acc: Accuracy):
-    # g(n, x) by the canonical route, each (n, x) evaluated once for as long
-    # as the returned function is held: one check call shares it
-    return cache(lambda n, x: eval_integral(GridPoint(n, x), acc))
-
-
-def _ladder_residual(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY, g=None) -> float:
-    g = g or _integrals(acc)
-    diff = g(p.n + 1, p.x) - g(p.n, p.x)
-    return abs(diff - ladder_delta(p.n, p.x, acc))
-
-
-def _path_residual(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY, path=None) -> float:
-    # ladder-climbed value against the direct integral, not scaled by 1/n;
-    # path, if given, is a climb at p.x at least p.n rungs high
-    path = path or _ladder_path(p.x, p.n, acc)
-    return abs(_checked(path[p.n - 1]).value - eval_integral(p, acc))
-
-
 def check_derivative(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
     """Central finite difference of the canonical route against the
     cotangent-average derivative; tolerance 1e-6 from the O(h^2)
     finite-difference truncation at h = 1e-5 against a 1e-12 quadrature."""
+
+    def residual(p: GridPoint) -> float:
+        # both sides as x * d/dx g
+        upper = eval_integral(GridPoint(p.n, p.x + FD_STEP), acc)
+        lower = eval_integral(GridPoint(p.n, p.x - FD_STEP), acc)
+        fd = p.x * (upper - lower) / (2.0 * FD_STEP)
+        return abs(fd - eval_derivative_cot(p, acc))
+
     notes = f"central difference step {FD_STEP:g}; tolerance from the O(h^2) truncation budget"
-    return _run(ID_DERIVATIVE, _coerce_grid(grid), _POINT_LABEL, lambda p: _fd_residual(p, acc), TOL_DERIVATIVE, notes)
+    return _run(ID_DERIVATIVE, _coerce_grid(grid), _POINT_LABEL, residual, TOL_DERIVATIVE, notes)
 
 
 def check_ladder(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
     """Direct difference g(n+1, x) - g(n, x) against the single-integral
     ladder step; tolerance 1e-8 from the three quadrature budgets involved."""
     notes = "tolerance from the error budget of three 1e-12 quadratures"
-    g = _integrals(acc)  # an interior g(n, x) ends one difference and starts the next
-    return _run(ID_LADDER, _coerce_grid(grid), _POINT_LABEL, lambda p: _ladder_residual(p, acc, g), TOL_LADDER, notes)
+    # each g(n, x) evaluated once: an interior g(n, x) ends one difference and starts the next
+    g = cache(lambda n, x: eval_integral(GridPoint(n, x), acc))
+    return _run(
+        ID_LADDER, _coerce_grid(grid), _POINT_LABEL,
+        lambda p: abs(g(p.n + 1, p.x) - g(p.n, p.x) - ladder_delta(p.n, p.x, acc)), TOL_LADDER, notes,
+    )
 
 
 def check_path_equivalence(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
@@ -230,7 +214,10 @@ def check_path_equivalence(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy =
     points = _coerce_grid(grid)
     # one climb per x, to the highest order asked for there: its prefixes are the lower orders' climbs
     climb = cache(lambda x: _ladder_path(x, max(p.n for p in points if p.x == x), acc))
-    return _run(ID_PATH, points, _POINT_LABEL, lambda p: _path_residual(p, acc, climb(p.x)) / p.n, TOL_PATH, notes)
+    return _run(
+        ID_PATH, points, _POINT_LABEL,
+        lambda p: abs(_checked(climb(p.x)[p.n - 1]).value - eval_integral(p, acc)) / p.n, TOL_PATH, notes,
+    )
 
 
 def check_series_constant(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ G_3_HALF = 11.0 / 6.0 - math.log(math.pi) + 6.0 * ZETA_3 / math.pi**2
 G_40_ONE = 4.88324646089990972661343507592
 # Too few refinements to converge: the engine always performs at least three.
 STARVED = Accuracy(max_quad_refinements=2)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -399,6 +403,23 @@ class TestAudit:
 def run_python(code):
     # a fresh interpreter, which finds logsine where this one did
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
+class TestReadmeAuditBundle:
+    # the README's audit-bundle commands, run in-process with --out redirected
+    def test_each_command_writes_its_file(self, tmp_path, capsys):
+        block = re.search(r"```sh\nmkdir -p audit_out\n(.*?)```", README.read_text(), re.S).group(1)
+        commands = [shlex.split(line) for line in block.splitlines()]
+        assert len(commands) == 6
+        for program, *argv in commands:
+            assert program == "logsine"
+            out = argv.index("--out") + 1
+            argv[out] = str(tmp_path / Path(argv[out]).relative_to("audit_out"))
+            assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+        written = sorted(tmp_path.iterdir())
+        assert len(written) == 6
+        assert all(path.stat().st_size > 0 for path in written)
 
 
 class TestWithoutNumpy:

@@ -36,6 +36,7 @@ from logsine import (
     zeta_even_bernoulli,
     zeta_even_direct,
 )
+from logsine.config import MAX_QUAD_REFINEMENTS
 from logsine.quadrature import _cot_remainder, _log_sinc
 
 # Apery's constant zeta(3), exact to double precision
@@ -137,6 +138,8 @@ class TestAccuracy:
             ("max_quad_refinements", 2.5),
             ("max_quad_refinements", True),
             ("max_quad_refinements", 0),
+            # the engine caches every level it reaches, so a runaway budget is refused before any work
+            ("max_quad_refinements", MAX_QUAD_REFINEMENTS + 1),
         ],
     )
     def test_bad_field_rejected(self, field, value):
@@ -146,6 +149,9 @@ class TestAccuracy:
     def test_integer_budgets_accepted(self):
         acc = Accuracy(max_series_terms=np.int64(5), max_quad_refinements=3)
         assert (acc.max_series_terms, acc.max_quad_refinements) == (5, 3)
+
+    def test_refinement_budget_accepted_up_to_the_cap(self):
+        assert Accuracy(max_quad_refinements=MAX_QUAD_REFINEMENTS).max_quad_refinements == MAX_QUAD_REFINEMENTS
 
 
 class TestIntegralRoute:
@@ -504,8 +510,8 @@ class TestRecords:
 
 
 class TestAveragedIntegrand:
-    # the integral and cot routes skip the kernel where (1-u)^(n-1) has
-    # underflowed to 0.0; the quadrature must not see the difference
+    # the integral and cot routes and the ladder step skip the kernel where
+    # (1-u)^(n-1) has underflowed to 0.0; the quadrature must not see the difference
     CASES = [
         pytest.param(kernel, n, x, id=f"{kernel.__name__}-{n}-{x:g}")
         for kernel in (_log_sinc, _cot_remainder)
@@ -531,3 +537,28 @@ class TestAveragedIntegrand:
 
         ev = family._moment(family._averaged(10**6, kernel, 0.5 * math.pi), DEFAULT_ACCURACY)
         assert 0 < len(calls) < ev.evaluations
+
+    # the order-1 step at x = 1 has its own kernel, free of the u = 1 singularity
+    @pytest.mark.parametrize("n, x", [
+        pytest.param(n, x, id=f"{n}-{x:g}") for n in (1, 10, 10**3, 10**4) for x in (1e-4, 0.5, 0.9999, 1.0)
+        if (n, x) != (1, 1.0)
+    ])
+    def test_ladder_step_matches_the_unskipped_integrand_bit_for_bit(self, n, x):
+        step = family._ladder_delta(n, x, DEFAULT_ACCURACY)
+        q = family._moment(
+            lambda u: ((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) * _log_sinc(math.pi * x * u), DEFAULT_ACCURACY
+        )
+        naive = q._replace(value=2.0 / (n + 1) - q.value)
+        assert (step.value.hex(), step.err_estimate.hex()) == (naive.value.hex(), naive.err_estimate.hex())
+        assert (step.evaluations, step.converged) == (naive.evaluations, naive.converged)
+
+    def test_ladder_step_skips_the_kernel_where_the_weight_underflows(self, monkeypatch):
+        calls = []
+
+        def kernel(w):
+            calls.append(w)
+            return _log_sinc(w)
+
+        monkeypatch.setattr(family, "_log_sinc", kernel)
+        step = family._ladder_delta(10**3, 0.5, DEFAULT_ACCURACY)
+        assert 0 < len(calls) < step.evaluations

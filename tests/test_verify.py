@@ -5,6 +5,7 @@ import pytest
 from logsine import (
     Accuracy,
     DomainError,
+    GridPoint,
     IdentityReport,
     audit_large_n,
     audit_small_x,
@@ -15,8 +16,13 @@ from logsine import (
     check_ladder,
     check_path_equivalence,
     check_series_constant,
+    eval_derivative_cot,
+    eval_integral,
+    eval_via_ladder,
     harmonic,
+    ladder_delta,
 )
+from logsine.verify import FD_STEP
 
 G_1_HALF = 1.0 - math.log(math.pi)
 
@@ -31,6 +37,28 @@ class TestIdentityReportType:
             IdentityReport("x", (1,), 2.0, 1.0, True, "")
         report = IdentityReport("x", (1,), 0.5, 1.0, True, "")
         assert report.passed
+
+
+class TestOnePointResiduals:
+    # a one-point grid's max_abs_residual is that point's residual, recomputed
+    # here from the public routes
+    POINTS = [pytest.param(GridPoint(n, x), id=f"{n}-{x:g}") for n in (1, 2) for x in (0.45, 0.85)]
+
+    @pytest.mark.parametrize("p", POINTS)
+    def test_derivative(self, p):
+        upper = eval_integral(GridPoint(p.n, p.x + FD_STEP))
+        lower = eval_integral(GridPoint(p.n, p.x - FD_STEP))
+        fd = p.x * (upper - lower) / (2.0 * FD_STEP)
+        assert check_derivative([p]).max_abs_residual == abs(fd - eval_derivative_cot(p))
+
+    @pytest.mark.parametrize("p", POINTS)
+    def test_ladder(self, p):
+        diff = eval_integral(GridPoint(p.n + 1, p.x)) - eval_integral(p)
+        assert check_ladder([p]).max_abs_residual == abs(diff - ladder_delta(p.n, p.x))
+
+    @pytest.mark.parametrize("p", POINTS)
+    def test_path_equivalence(self, p):
+        assert check_path_equivalence([p]).max_abs_residual == abs(eval_via_ladder(p) - eval_integral(p)) / p.n
 
 
 class TestChecks:
@@ -166,13 +194,12 @@ class TestChecks:
         assert len(calls) == integrals
 
     def test_shared_values_keep_the_pointwise_residuals(self):
-        from logsine import GridPoint
-        from logsine.verify import _ladder_residual, _path_residual
-
+        # values shared across a grid give each point the residual its one-point check reports
         grid = [(3, 0.5), (1, 0.5), (2, 1.0), (2, 0.5)]
-        points = [GridPoint(n, x) for n, x in grid]
-        assert check_ladder(grid).max_abs_residual == max(_ladder_residual(p) for p in points)
-        assert check_path_equivalence(grid).max_abs_residual == max(_path_residual(p) / p.n for p in points)
+        assert check_ladder(grid).max_abs_residual == max(check_ladder([p]).max_abs_residual for p in grid)
+        assert check_path_equivalence(grid).max_abs_residual == max(
+            check_path_equivalence([p]).max_abs_residual for p in grid
+        )
 
     def test_genfunc_accepts_zero_z(self):
         report = check_genfunc(xs=(0.5,), zs=(0.0, 0.3))
