@@ -19,6 +19,7 @@ import math
 import sys
 from functools import cache
 
+from . import family
 from .config import DEFAULT_ACCURACY, Accuracy, GridPoint
 from .errors import DomainError, NonConvergenceError
 from .family import (
@@ -207,11 +208,14 @@ def cmd_table(ns) -> int:
     acc = _accuracy(ns)
     n_max = max(ns.n_list)
     _require_climbable(n_max)  # the g_ladder column climbs to n_max: refuse before any quadrature
-    climb = cache(lambda x: _ladder_path(x, n_max, acc))  # g(1..n_max, x), climbed once at the first row with that x
+    # one kernel row per x, read by the integral column and the climb; route calls
+    # go through family's namespace, where perfbench/spans.py traces them
+    row = cache(family._sinc_row)
+    climb = cache(lambda x: _ladder_path(x, n_max, acc, row(x)))  # g(1..n_max, x), climbed once at the first row with that x
     converged = True
     rows = []
     for p in points:
-        integral = _best_estimate(p, METHOD_INTEGRAL, lambda: evaluate(p, method=METHOD_INTEGRAL, acc=acc))
+        integral = _best_estimate(p, METHOD_INTEGRAL, lambda: _checked(family._integral(p, acc, row=row(p.x))))
         ladder = _best_estimate(p, METHOD_LADDER, lambda: _checked(climb(p.x)[p.n - 1]))
         converged = converged and integral.converged and ladder.converged
         rows.append(

@@ -17,6 +17,7 @@ each one holds numerically.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _require_int
 from .errors import DomainError, NonConvergenceError
@@ -57,27 +58,43 @@ def _moment(integrand, acc: Accuracy) -> Evaluation:
 
 
 def _averaged(n: int, kernel, a: float):
-    # u -> n (1-u)^(n-1) kernel(a u). Where the weight has underflowed the
-    # product would be +-0.0, which the Kahan sum takes like +0.0, and both
-    # kernels are finite on 0 <= a u < pi: skipping the call changes no bit
-    # and hides no non-finite sample.
-    def integrand(u: float) -> float:
-        w = (1.0 - u) ** (n - 1)
-        return n * w * kernel(a * u) if w else 0.0
-
-    return integrand
+    # us -> n (1-u)^(n-1) kernel(a u) for one integral. Where the weight has
+    # underflowed the product would be +-0.0, which the Kahan sum takes like
+    # +0.0, and both kernels are finite on 0 <= a u < pi: skipping the call
+    # changes no bit and hides no non-finite sample.
+    return lambda us: [n * w * kernel(a * u) if (w := (1.0 - u) ** (n - 1)) else 0.0 for u in us]
 
 
-def _integral(p: GridPoint, acc: Accuracy) -> Evaluation:
-    # 2 H_n - 2 log(2 pi x) - q, q = n int_0^1 (1-u)^(n-1) log sinc(pi x u) du
+def _sinc_row(x: float):
+    # (ws, us) -> ws[i] log sinc(pi x us[i]) at one level's abscissae us, kept per
+    # level for every order evaluated at x: each node is sampled once, up to the
+    # last nonzero weight (as in _averaged), for as long as the caller keeps the row
+    a, levels = math.pi * x, {}
+
+    def row(ws: list[float], us: tuple[float, ...]) -> list[float]:
+        while ws and not ws[-1]:
+            ws.pop()
+        values = levels.setdefault(us, [])
+        if len(values) < len(ws):
+            values.extend([_log_sinc(a * u) for u in us[len(values):len(ws)]])
+        return list(map(mul, ws, values)) + [0.0] * (len(us) - len(ws))
+
+    return row
+
+
+def _integral(p: GridPoint, acc: Accuracy, row=None) -> Evaluation:
+    # 2 H_n - 2 log(2 pi x) - q, q = n int_0^1 (1-u)^(n-1) log sinc(pi x u) du;
+    # row, if given, is the _sinc_row at x that the caller shares across orders
     n, x = p.n, p.x
-    a, log_x = math.pi * x, math.log(x)
+    log_x = math.log(x)
     if n == 1 and x == 1.0:
         # only the order-1 weight is nonzero at u = 1, where log sinc(pi u) ~ log(1-u)
-        q = _moment(lambda u: _log_sinc(a * u) - math.log1p(-u), acc)
+        q = _moment(lambda us: [_log_sinc(math.pi * u) - math.log1p(-u) for u in us], acc)
         q = q._replace(value=q.value - 1.0)
+    elif row:
+        q = _moment(lambda us: row([n * (1.0 - u) ** (n - 1) for u in us], us), acc)
     else:
-        q = _moment(_averaged(n, _log_sinc, a), acc)
+        q = _moment(_averaged(n, _log_sinc, math.pi * x), acc)
     h = harmonic(n)
     floor = _EPS * (2.0 * h + 2.0 * (_LOG_2PI - log_x) + abs(q.value))  # rounding of the terms
     return Evaluation(_leading(h, x) - q.value, q.err_estimate + floor, q.evaluations, q.converged)
@@ -116,20 +133,15 @@ def _derivative_series(p: GridPoint, acc: Accuracy, constant_variant: str) -> Ev
     return Evaluation(math.fsum(terms) + constant, tail, len(terms), True)
 
 
-def _ladder_delta(n: int, x: float, acc: Accuracy) -> Evaluation:
+def _ladder_delta(n: int, x: float, acc: Accuracy, row=None) -> Evaluation:
     # 2/(n+1) - int_0^1 K log sinc(pi x u) du: the step kernel
     # K = (n+1)(1-u)^n - n(1-u)^(n-1) has log moment -1/(n+1)
     if n == 1 and x == 1.0:
         # K = 1 - 2u is -1 at u = 1: as in _integral, with int_0^1 K log(1-u) du = 1/2
-        q = _moment(lambda u: (1.0 - 2.0 * u) * (_log_sinc(math.pi * u) - math.log1p(-u)), acc)
+        q = _moment(lambda us: [(1.0 - 2.0 * u) * (_log_sinc(math.pi * u) - math.log1p(-u)) for u in us], acc)
         return q._replace(value=0.5 - q.value)
-
-    def integrand(u: float) -> float:
-        # as in _averaged, no kernel call where (1-u)^(n-1) has underflowed
-        w = (1.0 - u) ** (n - 1)
-        return ((n + 1) * (1.0 - u) - n) * w * _log_sinc(math.pi * x * u) if w else 0.0
-
-    q = _moment(integrand, acc)
+    row = row or _sinc_row(x)
+    q = _moment(lambda us: row([((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) for u in us], us), acc)
     return q._replace(value=2.0 / (n + 1) - q.value)
 
 
@@ -138,14 +150,15 @@ def _require_climbable(n: int) -> None:
         raise DomainError(f"n must satisfy n <= {LADDER_MAX_ORDER} (LADDER_MAX_ORDER) on the ladder route")
 
 
-def _ladder_path(x: float, n_max: int, acc: Accuracy) -> list[Evaluation]:
+def _ladder_path(x: float, n_max: int, acc: Accuracy, row=None) -> list[Evaluation]:
     # g(1, x), ..., g(n_max, x) from one climb: each rung adds one ladder
     # step to the rung below, so every prefix sums in the same order as a
-    # climb that stops there
+    # climb that stops there. Every rung reads one _sinc_row at x.
     _require_climbable(n_max)
-    path = [_integral(GridPoint(1, x), acc)]
+    row = row or _sinc_row(x)
+    path = [_integral(GridPoint(1, x), acc, row=row)]
     for k in range(1, n_max):
-        below, step = path[-1], _ladder_delta(k, x, acc)
+        below, step = path[-1], _ladder_delta(k, x, acc, row=row)
         path.append(Evaluation(
             below.value + step.value,
             below.err_estimate + step.err_estimate,
@@ -234,13 +247,8 @@ def genfunc_closed(q: GenfuncPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
         - int_0^1 log(2 sin(pi x u)) z / (1 - z(1-u))^2 du
     """
     x, z = q.x, q.z
-
     # the kernel's mass z/(1-z) and log moment log(1-z)/(1-z) are closed forms
-    def integrand(u: float) -> float:
-        d = 1.0 - z * (1.0 - u)
-        return _log_sinc(math.pi * x * u) * z / (d * d)
-
-    quad = _moment(integrand, acc)
+    quad = _moment(lambda us: [_log_sinc(math.pi * x * u) * z / ((d := 1.0 - z * (1.0 - u)) * d) for u in us], acc)
     closed = -2.0 * (z / (1.0 - z)) * (_LOG_2PI + math.log(x)) - 2.0 * math.log1p(-z) / (1.0 - z)
     return _checked(quad._replace(value=closed - quad.value)).value
 
@@ -250,9 +258,10 @@ _TAIL_PROBE = 20
 
 
 def _genfunc_orders(x: float, count: int, acc: Accuracy) -> list[float]:
-    # g(1, x), ..., g(count, x): the partial sum and the tail bound at one x
-    # read the same values whatever z they are taken at
-    return [eval_integral(GridPoint(n, x), acc) for n in range(1, count + 1)]
+    # g(1, x), ..., g(count, x) over one kernel row: the partial sum and the
+    # tail bound at one x read the same values whatever z they are taken at
+    row = _sinc_row(x)
+    return [_checked(_integral(GridPoint(n, x), acc, row=row)).value for n in range(1, count + 1)]
 
 
 def _partial_sum(values: list[float], z: float) -> float:

@@ -1,6 +1,6 @@
 """Singular integrand kernels and a tanh-sinh (double-exponential) engine.
 
-The engine integrates callables over the open interval (0, 1). The
+The engine integrates over the open interval (0, 1), level by level. The
 substitution
 
     u(t) = (1 + tanh((pi/2) sinh t)) / 2
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 from .config import DEFAULT_ACCURACY, Accuracy, _require_int, _require_scale
 from .errors import DomainError, NonConvergenceError, NonFiniteSampleError
@@ -136,33 +136,47 @@ def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
     return tuple(nodes)
 
 
-def integrate_de(f: Callable[[float], float], acc: Accuracy = DEFAULT_ACCURACY) -> Evaluation:
-    """Integrate f over (0, 1) by tanh-sinh refinement.
+@lru_cache(maxsize=None)
+def _level(level: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    return tuple(zip(*_level_nodes(level)))  # the abscissae and their du/dt, ascending in t
+
+
+def integrate_de(f: Callable[[tuple[float, ...]], Sequence[float]], acc: Accuracy = DEFAULT_ACCURACY) -> Evaluation:
+    """Integrate over (0, 1) by tanh-sinh refinement, one level at a time.
+
+    f receives each refinement level's abscissae as one ascending tuple,
+    strictly inside (0, 1) and the same object at every call, and returns
+    one sample per abscissa. A scalar integrand g is integrated as
+    integrate_de(lambda us: [g(u) for u in us]).
 
     The trapezoid step on the transformed axis is halved until the
     level-to-level difference is within quad_rel_tol * max(|value|, 1)
     or the refinement budget is exhausted.
 
-    Raises NonFiniteSampleError if f returns a non-finite value, and
-    NonConvergenceError (carrying the best estimate as an Evaluation with
-    converged=False) when the budget runs out.
+    Raises DomainError for a sample list of the wrong length,
+    NonFiniteSampleError for a non-finite sample, and NonConvergenceError
+    (carrying the best estimate, converged=False) when the budget runs out.
     """
     value = 0.0  # so level 0's refined value is its bare trapezoid sum
     evaluations = 0
     converged = False
     for level in range(acc.max_quad_refinements + 1):
-        nodes = _level_nodes(level)
+        us, dudts = _level(level)
+        samples = f(us)
+        if len(samples) != len(us):
+            raise DomainError(f"integrand returned {len(samples)} samples for {len(us)} abscissae")
         total = 0.0
         comp = 0.0
-        for u, dudt in nodes:
-            fu = f(u)
-            if not math.isfinite(fu):
-                raise NonFiniteSampleError(f"integrand returned a non-finite value at u = {u!r}")
+        for fu, dudt in zip(samples, dudts):
             y = fu * dudt - comp
             t = total + y
             comp = (t - total) - y
             total = t
-        evaluations += len(nodes)
+        if not math.isfinite(total):  # as any non-finite sample leaves it
+            for u, fu in zip(us, samples):
+                if not math.isfinite(fu):
+                    raise NonFiniteSampleError(f"integrand returned a non-finite value at u = {u!r}")
+        evaluations += len(us)
         refined = 0.5 * value + _H0 / (1 << level) * total
         err = abs(refined - value)
         value = refined

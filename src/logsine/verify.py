@@ -26,6 +26,7 @@ from collections import namedtuple
 from functools import cache
 from typing import Iterable, Sequence
 
+from . import family
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _require_int
 from .errors import DomainError, QuadratureError
 from .family import (
@@ -45,7 +46,7 @@ from .family import (
     genfunc_closed,
     genfunc_partial,  # noqa: F401  perfbench/spans.py wraps it here
     genfunc_tail_bound,  # noqa: F401  perfbench/spans.py wraps it here
-    ladder_delta,
+    ladder_delta,  # noqa: F401  perfbench/spans.py wraps it here
 )
 from .quadrature import _checked
 from .sequences import harmonic, zeta_even_bernoulli, zeta_even_direct
@@ -181,7 +182,7 @@ def _coerce_grid(grid: Iterable) -> tuple[GridPoint, ...]:
 def check_derivative(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
     """Central finite difference of the canonical route against the
     cotangent-average derivative; tolerance 1e-6 from the O(h^2)
-    finite-difference truncation at h = 1e-5 against a 1e-12 quadrature."""
+    finite-difference truncation at h = 1e-5 over acc.quad_rel_tol quadratures."""
 
     def residual(p: GridPoint) -> float:
         # both sides as x * d/dx g
@@ -197,12 +198,14 @@ def check_derivative(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = D
 def check_ladder(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
     """Direct difference g(n+1, x) - g(n, x) against the single-integral
     ladder step; tolerance 1e-8 from the three quadrature budgets involved."""
-    notes = "tolerance from the error budget of three 1e-12 quadratures"
-    # each g(n, x) evaluated once: an interior g(n, x) ends one difference and starts the next
-    g = cache(lambda n, x: eval_integral(GridPoint(n, x), acc))
+    notes = f"tolerance from the error budget of three {acc.quad_rel_tol:g} quadratures"
+    # each g(n, x) once, as an interior one ends one difference and starts the next; one kernel row per x
+    row = cache(family._sinc_row)
+    g = cache(lambda n, x: _checked(family._integral(GridPoint(n, x), acc, row=row(x))).value)
     return _run(
         ID_LADDER, _coerce_grid(grid), _POINT_LABEL,
-        lambda p: abs(g(p.n + 1, p.x) - g(p.n, p.x) - ladder_delta(p.n, p.x, acc)), TOL_LADDER, notes,
+        lambda p: abs(g(p.n + 1, p.x) - g(p.n, p.x) - _checked(family._ladder_delta(p.n, p.x, acc, row=row(p.x))).value),
+        TOL_LADDER, notes,
     )
 
 

@@ -260,9 +260,9 @@ class TestTableLadderClimb:
         steps = []
         step = family._ladder_delta
 
-        def counting(n, x, acc):
+        def counting(n, x, acc, row=None):
             steps.append(x)
-            return step(n, x, acc)
+            return step(n, x, acc, row=row)
 
         monkeypatch.setattr(family, "_ladder_delta", counting)
         code, _ = table_rows(monkeypatch, "--n-list", "3,1,2,3", "--x-list", "0.5,0.5,0.25")
@@ -270,10 +270,33 @@ class TestTableLadderClimb:
         # max(n-list) - 1 = 2 steps at each of the two distinct x
         assert sorted(steps) == [0.25, 0.25, 0.5, 0.5]
 
+    def test_kernel_sampled_once_per_scale_level_and_node(self, monkeypatch):
+        # the integral column and the climb at one x share one row of log sinc samples
+        calls = []
+        kernel = family._log_sinc
+
+        def counting(w):
+            calls.append(w)
+            return kernel(w)
+
+        monkeypatch.setattr(family, "_log_sinc", counting)
+        code, rows = table_rows(monkeypatch, "--n-list", "1,2,3,4,5,6,7,8,9,10", "--x-list", "0.3,0.7")
+        assert code == 0
+        assert len(calls) == len(set(calls))
+        # every order at these x stops at the same level, so each x costs one integral's samples
+        monkeypatch.undo()
+        assert len(calls) == 2 * evaluate(GridPoint(1, 0.3)).evaluations
+        for n, x, integral, ladder, _, quad_err in rows:
+            single = evaluate(GridPoint(n, x))
+            assert (integral, quad_err) == (single.value, single.err_estimate)
+            assert ladder == evaluate(GridPoint(n, x), method="ladder").value
+
     def test_starved_table_keeps_its_warnings(self, capsys, monkeypatch):
         # only the order-5 integrals run out of budget
         integral = family._integral
-        monkeypatch.setattr(family, "_integral", lambda p, acc: integral(p, STARVED if p.n == 5 else acc))
+        monkeypatch.setattr(
+            family, "_integral", lambda p, acc, row=None: integral(p, STARVED if p.n == 5 else acc, row=row)
+        )
         code, _, err = run(capsys, "table", "--n-list", "1,2,3,5", "--x-list", "0.5,1")
         assert code == 3
         assert warning_prefixes(err) == ["warning: n=5 x=0.5 integral:", "warning: n=5 x=1 integral:"]
@@ -311,6 +334,13 @@ class TestVerify:
         assert code == 0
         assert out.count("identity:") == 1
         assert "ladder_vs_diff" in out
+
+    @pytest.mark.parametrize("tol", ["1e-12", "1e-10"])
+    def test_ladder_notes_name_the_quadrature_tolerance(self, capsys, tol):
+        argv = ("verify", "--only", "ladder_vs_diff") + (("--quad-tol", tol) if tol != "1e-12" else ())
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert f"notes: tolerance from the error budget of three {tol} quadratures" in out
 
     def test_only_path_equivalence_selectable(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "path_equivalence")

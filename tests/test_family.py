@@ -509,9 +509,15 @@ class TestRecords:
         assert (n, x) == (3, 0.5)
 
 
+def pointwise(g):
+    # the level-wise integrand of a scalar integrand g
+    return lambda us: [g(u) for u in us]
+
+
 class TestAveragedIntegrand:
     # the integral and cot routes and the ladder step skip the kernel where
-    # (1-u)^(n-1) has underflowed to 0.0; the quadrature must not see the difference
+    # (1-u)^(n-1) has underflowed to 0.0; the quadrature must not see the
+    # difference. The naive scalar integrands are the oracles.
     CASES = [
         pytest.param(kernel, n, x, id=f"{kernel.__name__}-{n}-{x:g}")
         for kernel in (_log_sinc, _cot_remainder)
@@ -524,7 +530,7 @@ class TestAveragedIntegrand:
     def test_matches_the_unskipped_integrand_bit_for_bit(self, kernel, n, x):
         a = math.pi * x
         skipped = family._moment(family._averaged(n, kernel, a), DEFAULT_ACCURACY)
-        naive = family._moment(lambda u: n * (1.0 - u) ** (n - 1) * kernel(a * u), DEFAULT_ACCURACY)
+        naive = family._moment(pointwise(lambda u: n * (1.0 - u) ** (n - 1) * kernel(a * u)), DEFAULT_ACCURACY)
         assert (skipped.value.hex(), skipped.err_estimate.hex()) == (naive.value.hex(), naive.err_estimate.hex())
         assert (skipped.evaluations, skipped.converged) == (naive.evaluations, naive.converged)
 
@@ -546,7 +552,8 @@ class TestAveragedIntegrand:
     def test_ladder_step_matches_the_unskipped_integrand_bit_for_bit(self, n, x):
         step = family._ladder_delta(n, x, DEFAULT_ACCURACY)
         q = family._moment(
-            lambda u: ((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) * _log_sinc(math.pi * x * u), DEFAULT_ACCURACY
+            pointwise(lambda u: ((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) * _log_sinc(math.pi * x * u)),
+            DEFAULT_ACCURACY,
         )
         naive = q._replace(value=2.0 / (n + 1) - q.value)
         assert (step.value.hex(), step.err_estimate.hex()) == (naive.value.hex(), naive.err_estimate.hex())
@@ -562,3 +569,67 @@ class TestAveragedIntegrand:
         monkeypatch.setattr(family, "_log_sinc", kernel)
         step = family._ladder_delta(10**3, 0.5, DEFAULT_ACCURACY)
         assert 0 < len(calls) < step.evaluations
+
+
+def fields(ev):
+    return (ev.value.hex(), ev.err_estimate.hex(), ev.evaluations, ev.converged)
+
+
+class TestSharedKernelRow:
+    # callers that evaluate many orders at one x share one row of log sinc(pi x u)
+    # samples per level; every value stays bit-identical to its single-point route
+    @pytest.mark.parametrize("x", [1e-4, 0.3, 0.9999, 1.0])
+    def test_shared_row_values_are_the_single_point_values(self, x):
+        # one row serves every order in turn, rising and falling in n, and the
+        # orders whose weight underflows read a row that others filled further
+        row = family._sinc_row(x)
+        for n in (1, 2, 10, 10**6, 3, 10**4, 40, 10**3):
+            p = GridPoint(n, x)
+            assert fields(family._integral(p, DEFAULT_ACCURACY, row=row)) == fields(family._integral(p, DEFAULT_ACCURACY))
+            step = family._ladder_delta(n, x, DEFAULT_ACCURACY, row=row)
+            naive = family._moment(
+                pointwise(lambda u: ((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) * _log_sinc(math.pi * x * u)),
+                DEFAULT_ACCURACY,
+            )
+            if (n, x) != (1, 1.0):  # the order-1 step at x = 1 has its own kernel
+                assert fields(step) == fields(naive._replace(value=2.0 / (n + 1) - naive.value))
+
+    def test_row_stops_where_every_weight_has_underflowed(self, monkeypatch):
+        calls = count_kernel_calls(monkeypatch)
+        ev = family._integral(GridPoint(10**6, 0.5), DEFAULT_ACCURACY, row=family._sinc_row(0.5))
+        assert 0 < len(calls) < ev.evaluations
+
+    def test_genfunc_orders_sample_each_node_once(self, monkeypatch):
+        # 80 orders cost at most the kernel samples of the one that refines deepest
+        calls = count_kernel_calls(monkeypatch)
+        values = family._genfunc_orders(0.5, 80, DEFAULT_ACCURACY)
+        monkeypatch.undo()
+        singles = [evaluate(GridPoint(n, 0.5)) for n in range(1, 81)]
+        assert len(calls) == len(set(calls))
+        assert 0 < len(calls) <= max(ev.evaluations for ev in singles) < sum(ev.evaluations for ev in singles) / 2
+        assert values == [ev.value for ev in singles]
+
+    def test_climb_samples_each_node_once(self, monkeypatch):
+        # the order-1 integral and 11 steps, all over one row
+        calls = count_kernel_calls(monkeypatch)
+        path = family._ladder_path(0.3, 12, DEFAULT_ACCURACY)
+        assert len(calls) == len(set(calls))
+        assert len(calls) == path[0].evaluations == path[-1].evaluations / 12
+
+    def test_single_point_route_skips_underflowed_weights(self, monkeypatch):
+        # a route called alone keeps today's skip where (1-u)^(n-1) underflows
+        calls = count_kernel_calls(monkeypatch)
+        ev = evaluate(GridPoint(10**6, 0.5))
+        assert 0 < len(calls) < ev.evaluations
+
+
+def count_kernel_calls(monkeypatch):
+    # records every argument of log sinc that the routes sample
+    calls = []
+
+    def kernel(w):
+        calls.append(w)
+        return _log_sinc(w)
+
+    monkeypatch.setattr(family, "_log_sinc", kernel)
+    return calls

@@ -21,6 +21,11 @@ from logsine.quadrature import _level_nodes
 ZETA_3 = 1.2020569031595943
 
 
+def pointwise(g):
+    # the level-wise integrand of a scalar integrand g
+    return lambda us: [g(u) for u in us]
+
+
 class TestLogSinKernel:
     def test_closed_forms(self):
         assert log_sin_kernel(0.5, 0.5) == pytest.approx(0.5 * math.log(2.0), rel=1e-15)
@@ -95,33 +100,33 @@ class TestWeight:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 25, 50])
     def test_normalizes_to_one(self, n):
-        q = integrate_de(lambda u: weight(n, u))
+        q = integrate_de(pointwise(lambda u: weight(n, u)))
         assert abs(q.value - 1.0) <= 1e-12
 
 
 class TestIntegrateDE:
     def test_constant(self):
-        q = integrate_de(lambda u: 1.0)
+        q = integrate_de(pointwise(lambda u: 1.0))
         assert abs(q.value - 1.0) <= 1e-14
         assert q.err_estimate <= 1e-14
 
     def test_log_singular_zero_mean(self):
         # Fourier expansion log(2 sin(theta/2)) = -sum cos(k theta)/k
         # integrates termwise to zero over theta in (0, pi)
-        q = integrate_de(lambda u: log_sin_kernel(0.5, u))
+        q = integrate_de(pointwise(lambda u: log_sin_kernel(0.5, u)))
         assert abs(q.value) <= 1e-10
 
     def test_log_singular_weighted(self):
         # same expansion against (1-u): int_0^1 u cos(k pi u) du
         # = ((-1)^k - 1)/(k pi)^2, which sums to -7 zeta(3) / (4 pi^2)
         expected = -7.0 * ZETA_3 / (4.0 * math.pi**2)
-        q = integrate_de(lambda u: (1.0 - u) * log_sin_kernel(0.5, u))
+        q = integrate_de(pointwise(lambda u: (1.0 - u) * log_sin_kernel(0.5, u)))
         assert q.value == pytest.approx(expected, abs=1e-10)
 
     def test_both_endpoints_singular(self):
         # x = 1 makes the kernel singular at u = 0 and u = 1; full-period
         # Fourier integral is zero
-        q = integrate_de(lambda u: log_sin_kernel(1.0, u))
+        q = integrate_de(pointwise(lambda u: log_sin_kernel(1.0, u)))
         assert abs(q.value) <= 1e-10
 
     @given(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=11))
@@ -133,7 +138,7 @@ class TestIntegrateDE:
             return acc
 
         exact = math.fsum(c / (k + 1) for k, c in enumerate(coeffs))
-        q = integrate_de(poly)
+        q = integrate_de(pointwise(poly))
         assert abs(q.value - exact) <= 1e-12
 
     def test_never_samples_endpoints(self):
@@ -143,27 +148,27 @@ class TestIntegrateDE:
             seen.append(u)
             return 1.0
 
-        integrate_de(probe)
+        integrate_de(pointwise(probe))
         assert min(seen) > 0.0
         assert max(seen) < 1.0
 
     def test_result_invariants(self):
         acc = Accuracy()
-        q = integrate_de(lambda u: weight(3, u) * log_sin_kernel(0.7, u), acc)
+        q = integrate_de(pointwise(lambda u: weight(3, u) * log_sin_kernel(0.7, u)), acc)
         assert q.evaluations >= 1
         assert q.err_estimate >= 0.0
         assert q.err_estimate <= acc.quad_rel_tol * max(abs(q.value), 1.0)
 
     def test_non_finite_sample_rejected(self):
         with pytest.raises(NonFiniteSampleError):
-            integrate_de(lambda u: math.nan)
+            integrate_de(pointwise(lambda u: math.nan))
         with pytest.raises(NonFiniteSampleError):
-            integrate_de(lambda u: math.inf)
+            integrate_de(pointwise(lambda u: math.inf))
 
     def test_non_convergence_carries_best_estimate(self):
         acc = Accuracy(max_quad_refinements=1)
         with pytest.raises(NonConvergenceError) as excinfo:
-            integrate_de(lambda u: log_sin_kernel(0.5, u), acc)
+            integrate_de(pointwise(lambda u: log_sin_kernel(0.5, u)), acc)
         best = excinfo.value.result
         assert math.isfinite(best.value)
         assert best.err_estimate >= 0.0
@@ -173,14 +178,14 @@ class TestIntegrateDE:
         def f(u):
             return weight(3, u) * log_sin_kernel(0.7, u)
 
-        a = integrate_de(f)
-        b = integrate_de(f)
+        a = integrate_de(pointwise(f))
+        b = integrate_de(pointwise(f))
         assert (a.value, a.err_estimate, a.evaluations) == (b.value, b.err_estimate, b.evaluations)
 
     @pytest.mark.parametrize("refinements", [12, 2], ids=["converged", "starved"])
     def test_evaluations_count_whole_levels(self, refinements):
-        # one sample per integrand call, and every level used is used whole:
-        # the count is the level sizes summed up to the last level reached
+        # every level used is used whole: the count is the level sizes summed
+        # up to the last level reached
         calls = []
 
         def f(u):
@@ -188,7 +193,7 @@ class TestIntegrateDE:
             return weight(3, u) * log_sin_kernel(0.7, u)
 
         try:
-            q = integrate_de(f, Accuracy(max_quad_refinements=refinements))
+            q = integrate_de(pointwise(f), Accuracy(max_quad_refinements=refinements))
         except NonConvergenceError as exc:
             q = exc.result
         sizes = [len(_level_nodes(level)) for level in range(refinements + 1)]
@@ -198,3 +203,63 @@ class TestIntegrateDE:
             assert q.evaluations in [sum(sizes[: k + 1]) for k in range(3, refinements + 1)]
         else:
             assert q.evaluations == sum(sizes)
+
+
+class TestLevelContract:
+    # the integrand receives one refinement level at a time and returns one sample per abscissa
+    def test_one_call_per_level_with_ascending_interior_abscissae(self):
+        levels = []
+
+        def f(us):
+            levels.append(us)
+            return [weight(3, u) * log_sin_kernel(0.7, u) for u in us]
+
+        q = integrate_de(f)
+        assert [len(us) for us in levels] == [len(_level_nodes(level)) for level in range(len(levels))]
+        for us in levels:
+            assert type(us) is tuple
+            assert all(0.0 < a < b < 1.0 for a, b in zip(us, us[1:]))
+        assert q.evaluations == sum(len(us) for us in levels)
+
+    def test_each_level_passes_the_same_tuple(self):
+        # callers may key work they share across integrals by the level's tuple
+        first, second = [], []
+        integrate_de(lambda us: first.append(us) or [1.0] * len(us))
+        integrate_de(lambda us: second.append(us) or [2.0] * len(us))
+        assert len(first) == len(second)
+        assert all(a is b for a, b in zip(first, second))
+
+    @pytest.mark.parametrize("refinements", [12, 2], ids=["converged", "starved"])
+    def test_evaluations_equal_the_samples_requested(self, refinements):
+        requested = []
+
+        def f(us):
+            requested.append(len(us))
+            return [log_sin_kernel(0.5, u) for u in us]
+
+        try:
+            q = integrate_de(f, Accuracy(max_quad_refinements=refinements))
+        except NonConvergenceError as exc:
+            q = exc.result
+        assert q.evaluations == sum(requested)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_row_length_rejected(self, extra):
+        with pytest.raises(DomainError, match="samples for"):
+            integrate_de(lambda us: [1.0] * (len(us) + extra))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_names_its_abscissa(self, bad):
+        # the first non-finite sample in ascending order is named, as with scalar integrands
+        cut = 0.75
+        with pytest.raises(NonFiniteSampleError) as excinfo:
+            integrate_de(lambda us: [bad if u > cut else 1.0 for u in us])
+        first = min(u for u, _ in _level_nodes(0) if u > cut)
+        assert str(excinfo.value) == f"integrand returned a non-finite value at u = {first!r}"
+
+    def test_overflowing_sum_of_finite_samples_is_not_a_non_finite_sample(self):
+        # only a non-finite sample raises NonFiniteSampleError; a sum that
+        # overflows never converges, as with scalar integrands
+        with pytest.raises(NonConvergenceError) as excinfo:
+            integrate_de(lambda us: [1e308] * len(us), Accuracy(max_quad_refinements=4))
+        assert excinfo.value.result.converged is False

@@ -193,6 +193,21 @@ class TestChecks:
         assert check().passed
         assert len(calls) == integrals
 
+    def test_ladder_check_samples_each_kernel_node_once_per_scale(self, monkeypatch):
+        # the 189 integrals read one row of log sinc samples per x: 9 rows of 101 nodes
+        import logsine.family as family
+
+        calls = []
+        kernel = family._log_sinc
+
+        def counting(w):
+            calls.append(w)
+            return kernel(w)
+
+        monkeypatch.setattr(family, "_log_sinc", counting)
+        assert check_ladder().passed
+        assert len(calls) == len(set(calls)) == 9 * 101
+
     def test_shared_values_keep_the_pointwise_residuals(self):
         # values shared across a grid give each point the residual its one-point check reports
         grid = [(3, 0.5), (1, 0.5), (2, 1.0), (2, 0.5)]
@@ -258,19 +273,19 @@ class TestChecks:
         assert climbs == [(0.3, 2), (0.5, 3), (0.5, 3)]
 
     def test_failed_integral_fails_every_difference_that_reads_it(self, monkeypatch):
-        import logsine.verify as verify
+        import logsine.family as family
         from logsine import NonFiniteSampleError
 
         calls = []
-        eval_integral = verify.eval_integral
+        integral = family._integral
 
-        def failing(p, acc):
+        def failing(p, acc, row=None):
             calls.append((p.n, p.x))
             if (p.n, p.x) == (2, 0.5):
                 raise NonFiniteSampleError("injected")
-            return eval_integral(p, acc)
+            return integral(p, acc, row=row)
 
-        monkeypatch.setattr(verify, "eval_integral", failing)
+        monkeypatch.setattr(family, "_integral", failing)
         report = check_ladder(grid=[(1, 0.5), (2, 0.5), (1, 0.3)])
         assert not report.passed
         assert report.max_abs_residual == math.inf
