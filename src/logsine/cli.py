@@ -29,11 +29,9 @@ from .family import (
     METHOD_LADDER,
     METHODS,
     Evaluation,
-    _ladder_path,
     _require_climbable,
     evaluate,
 )
-from .quadrature import _checked
 from .verify import (
     ID_BERNOULLI_ZETA,
     ID_DERIVATIVE,
@@ -208,15 +206,12 @@ def cmd_table(ns) -> int:
     acc = _accuracy(ns)
     n_max = max(ns.n_list)
     _require_climbable(n_max)  # the g_ladder column climbs to n_max: refuse before any quadrature
-    # one kernel row per x, read by the integral column and the climb; route calls
-    # go through family's namespace, where perfbench/spans.py traces them
-    row = cache(family._sinc_row)
-    climb = cache(lambda x: _ladder_path(x, n_max, acc, row(x)))  # g(1..n_max, x), climbed once at the first row with that x
+    scale = cache(lambda x: family._scale(x, acc))  # per x, each g(n, x) once; the climb's rung 1 is g(1, x)
     converged = True
     rows = []
     for p in points:
-        integral = _best_estimate(p, METHOD_INTEGRAL, lambda: _checked(family._integral(p, acc, row=row(p.x))))
-        ladder = _best_estimate(p, METHOD_LADDER, lambda: _checked(climb(p.x)[p.n - 1]))
+        integral = _best_estimate(p, METHOD_INTEGRAL, lambda: scale(p.x).g(p.n))
+        ladder = _best_estimate(p, METHOD_LADDER, lambda: scale(p.x).rung(p.n))
         converged = converged and integral.converged and ladder.converged
         rows.append(
             (p.n, p.x, integral.value, ladder.value,

@@ -29,16 +29,21 @@ def _require_int(name: str, value, minimum: int) -> None:
         raise DomainError(f"{name} must satisfy {name} >= {minimum}")
 
 
+def _is_real(value) -> bool:
+    # a real number other than a bool; hot callers test type(value) is float
+    # first, as the ABC test costs ~1 us
+    return not isinstance(value, bool) and isinstance(value, Real)
+
+
 def _require_tolerance(name: str, value) -> None:
     # a NaN tolerance is never met and an infinite one always is
-    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < math.inf:
+    if not _is_real(value) or not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be finite and strictly positive")
 
 
 def _require_scale(x) -> None:
-    # the one domain check of the scale x; NaN and non-real values fail it too,
-    # and a plain float skips the ABC test
-    if type(x) is not float and (isinstance(x, bool) or not isinstance(x, Real)) or not 0.0 < x <= 1.0:
+    # the one domain check of the scale x; NaN and non-real values fail it too
+    if type(x) is not float and not _is_real(x) or not 0.0 < x <= 1.0:
         raise DomainError("x must satisfy 0 < x <= 1")
 
 
@@ -70,9 +75,27 @@ class GenfuncPoint(namedtuple("GenfuncPoint", "x z")):
 
     def __new__(cls, x: float, z: float):
         _require_scale(x)
-        if isinstance(z, bool) or not isinstance(z, Real) or not abs(z) <= 0.9:
+        if not _is_real(z) or not abs(z) <= 0.9:
             raise DomainError("z must be real and satisfy |z| <= 0.9")
         return super().__new__(cls, x, z)
+
+
+def _as_point(cls, entry):
+    # entry as a cls record (GridPoint or GenfuncPoint): a record passes as it
+    # is, and a pair has its real fields read through float() before cls
+    # validates it. Anything else is a DomainError, a record of the other
+    # type too, as its fields mean other things.
+    if isinstance(entry, cls):
+        return entry
+    message = f"points must be {cls.__name__} records or ({', '.join(cls._fields)}) pairs, got {entry!r}"
+    if isinstance(entry, (GridPoint, GenfuncPoint)):
+        raise DomainError(message)
+    try:
+        a, b = entry
+        fields = (a if cls is GridPoint else float(a), float(b))
+    except (TypeError, ValueError):
+        raise DomainError(message) from None
+    return cls(*fields)
 
 
 class Accuracy(namedtuple("Accuracy", "quad_rel_tol series_abs_tol max_series_terms max_quad_refinements")):

@@ -17,9 +17,11 @@ each one holds numerically.
 from __future__ import annotations
 
 import math
+from functools import cache
 from operator import mul
+from types import SimpleNamespace
 
-from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _require_int
+from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_point, _require_int
 from .errors import DomainError, NonConvergenceError
 from .quadrature import Evaluation, _checked, _cot_remainder, _log_sinc, integrate_de
 from .sequences import harmonic, zeta_even
@@ -150,26 +152,32 @@ def _require_climbable(n: int) -> None:
         raise DomainError(f"n must satisfy n <= {LADDER_MAX_ORDER} (LADDER_MAX_ORDER) on the ladder route")
 
 
-def _ladder_path(x: float, n_max: int, acc: Accuracy, row=None) -> list[Evaluation]:
-    # g(1, x), ..., g(n_max, x) from one climb: each rung adds one ladder
-    # step to the rung below, so every prefix sums in the same order as a
-    # climb that stops there. Every rung reads one _sinc_row at x.
-    _require_climbable(n_max)
-    row = row or _sinc_row(x)
-    path = [_integral(GridPoint(1, x), acc, row=row)]
-    for k in range(1, n_max):
-        below, step = path[-1], _ladder_delta(k, x, acc, row=row)
-        path.append(Evaluation(
-            below.value + step.value,
-            below.err_estimate + step.err_estimate,
-            below.evaluations + step.evaluations,
-            below.converged and step.converged,
-        ))
-    return path
+def _scale(x: float, acc: Accuracy) -> SimpleNamespace:
+    # checked routes at one x over one _sinc_row: g(n) evaluates each order once, step(n) is the ladder
+    # step from n, and rung(n) extends one climb from g(1) as far as asked, so every rung sums as a
+    # climb that stops there would. A raised error is not kept. Routes are looked up by their
+    # module-global names at each call, so a wrapper put there (perfbench/spans.py) sees every one.
+    row = _sinc_row(x)
+    integral = cache(lambda n: _integral(GridPoint(n, x), acc, row=row))
+    path: list[Evaluation] = []
 
+    def rung(n: int) -> Evaluation:
+        _require_climbable(n)
+        if not path:
+            path.append(integral(1))
+        while len(path) < n:
+            below, step = path[-1], _ladder_delta(len(path), x, acc, row=row)
+            path.append(Evaluation(
+                below.value + step.value,
+                below.err_estimate + step.err_estimate,
+                below.evaluations + step.evaluations,
+                below.converged and step.converged,
+            ))
+        return _checked(path[n - 1])
 
-def _via_ladder(p: GridPoint, acc: Accuracy) -> Evaluation:
-    return _ladder_path(p.x, p.n, acc)[-1]
+    return SimpleNamespace(
+        g=lambda n: _checked(integral(n)), step=lambda n: _checked(_ladder_delta(n, x, acc, row=row)), rung=rung
+    )
 
 
 def evaluate(
@@ -180,11 +188,13 @@ def evaluate(
 ) -> Evaluation:
     """Evaluate the family (or its scaled derivative) by the named route.
 
-    A NonConvergenceError carries the route's best estimate as its result."""
+    A NonConvergenceError carries the route's best estimate as its result.
+    p may also be an (n, x) pair."""
+    p = p if type(p) is GridPoint else _as_point(GridPoint, p)
     if method == METHOD_INTEGRAL:
         ev = _integral(p, acc)
     elif method == METHOD_LADDER:
-        ev = _via_ladder(p, acc)
+        ev = _scale(p.x, acc).rung(p.n)
     elif method == METHOD_DERIVATIVE_COT:
         ev = _derivative_cot(p, acc)
     elif method == METHOD_DERIVATIVE_SERIES:
@@ -196,7 +206,7 @@ def evaluate(
 
 def eval_integral(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """Canonical value of the family at p, by the integral representation."""
-    return _checked(_integral(p, acc)).value
+    return evaluate(p, METHOD_INTEGRAL, acc).value
 
 
 def eval_derivative_cot(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -204,7 +214,7 @@ def eval_derivative_cot(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float
 
         -n int_0^1 (1-u)^(n-1) pi x u cot(pi x u) du - 1
     """
-    return _checked(_derivative_cot(p, acc)).value
+    return evaluate(p, METHOD_DERIVATIVE_COT, acc).value
 
 
 def eval_derivative_series(
@@ -223,7 +233,7 @@ def eval_derivative_series(
     factorial ratio n! (2m)!/(2m+n)! is updated from one m to the next by
     (2m-1)(2m)/((2m-1+n)(2m+n)), never through explicit factorials.
     """
-    return _derivative_series(p, acc, constant_variant).value
+    return evaluate(p, METHOD_DERIVATIVE_SERIES, acc, constant_variant).value
 
 
 def ladder_delta(n: int, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -237,7 +247,7 @@ def ladder_delta(n: int, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
 
 def eval_via_ladder(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """Family value reached by climbing the ladder from order 1."""
-    return _checked(_via_ladder(p, acc)).value
+    return evaluate(p, METHOD_LADDER, acc).value
 
 
 def genfunc_closed(q: GenfuncPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -246,6 +256,7 @@ def genfunc_closed(q: GenfuncPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
         -(z/(1-z)) log(2 pi x) - log(1-z)/(1-z)
         - int_0^1 log(2 sin(pi x u)) z / (1 - z(1-u))^2 du
     """
+    q = q if type(q) is GenfuncPoint else _as_point(GenfuncPoint, q)
     x, z = q.x, q.z
     # the kernel's mass z/(1-z) and log moment log(1-z)/(1-z) are closed forms
     quad = _moment(lambda us: [_log_sinc(math.pi * x * u) * z / ((d := 1.0 - z * (1.0 - u)) * d) for u in us], acc)
@@ -260,8 +271,8 @@ _TAIL_PROBE = 20
 def _genfunc_orders(x: float, count: int, acc: Accuracy) -> list[float]:
     # g(1, x), ..., g(count, x) over one kernel row: the partial sum and the
     # tail bound at one x read the same values whatever z they are taken at
-    row = _sinc_row(x)
-    return [_checked(_integral(GridPoint(n, x), acc, row=row)).value for n in range(1, count + 1)]
+    g = _scale(x, acc).g
+    return [g(n).value for n in range(1, count + 1)]
 
 
 def _partial_sum(values: list[float], z: float) -> float:

@@ -24,7 +24,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .config import DEFAULT_ACCURACY, Accuracy, _require_int, _require_scale
+from .config import DEFAULT_ACCURACY, Accuracy, _is_real, _require_int, _require_scale
 from .errors import DomainError, NonConvergenceError, NonFiniteSampleError
 
 # Beyond |t| = _T_MAX the abscissa rounds onto an endpoint; the truncated
@@ -54,7 +54,7 @@ class Evaluation(namedtuple("Evaluation", "value err_estimate evaluations conver
 def log_sin_kernel(x: float, u: float) -> float:
     """log(2 sin(pi x u)); integrable log singularity as u -> 0+."""
     _require_scale(x)
-    if not 0.0 < u <= 1.0:
+    if type(u) is not float and not _is_real(u) or not 0.0 < u <= 1.0:
         raise DomainError("u must satisfy 0 < u <= 1")
     if x * u >= 1.0:
         raise DomainError("x*u must satisfy x*u < 1")
@@ -71,7 +71,7 @@ def cot_kernel(x: float, u: float) -> float:
     the series 1 - w^2/3 - w^4/45 avoids the 0/0 quotient.
     """
     _require_scale(x)
-    if not 0.0 <= u <= 1.0:
+    if type(u) is not float and not _is_real(u) or not 0.0 <= u <= 1.0:
         raise DomainError("u must satisfy 0 <= u <= 1")
     if x * u >= 1.0:
         raise DomainError("x*u must satisfy x*u < 1")
@@ -85,7 +85,7 @@ def cot_kernel(x: float, u: float) -> float:
 def weight(n: int, u: float) -> float:
     """Averaging weight n (1-u)^(n-1); integrates to exactly 1 on [0, 1]."""
     _require_int("n", n, 1)
-    if not 0.0 <= u <= 1.0:
+    if type(u) is not float and not _is_real(u) or not 0.0 <= u <= 1.0:
         raise DomainError("u must satisfy 0 <= u <= 1")
     return float(n) * (1.0 - u) ** (n - 1)
 
@@ -153,7 +153,8 @@ def integrate_de(f: Callable[[tuple[float, ...]], Sequence[float]], acc: Accurac
     level-to-level difference is within quad_rel_tol * max(|value|, 1)
     or the refinement budget is exhausted.
 
-    Raises DomainError for a sample list of the wrong length,
+    Raises DomainError for a sample list of the wrong length, a result
+    with no length or a sample that is not a real number,
     NonFiniteSampleError for a non-finite sample, and NonConvergenceError
     (carrying the best estimate, converged=False) when the budget runs out.
     """
@@ -163,16 +164,21 @@ def integrate_de(f: Callable[[tuple[float, ...]], Sequence[float]], acc: Accurac
     for level in range(acc.max_quad_refinements + 1):
         us, dudts = _level(level)
         samples = f(us)
-        if len(samples) != len(us):
-            raise DomainError(f"integrand returned {len(samples)} samples for {len(us)} abscissae")
-        total = 0.0
-        comp = 0.0
-        for fu, dudt in zip(samples, dudts):
-            y = fu * dudt - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        if not math.isfinite(total):  # as any non-finite sample leaves it
+        try:
+            if len(samples) != len(us):
+                raise DomainError(f"integrand returned {len(samples)} samples for {len(us)} abscissae")
+            total = 0.0
+            comp = 0.0
+            for fu, dudt in zip(samples, dudts):
+                y = fu * dudt - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+            finite = math.isfinite(total)  # a complex sample leaves a complex total, which fails here
+        except TypeError:
+            # a result with no length (a generator, a float) or a sample that is no real number
+            raise DomainError("integrand must return a sequence of one real sample per abscissa") from None
+        if not finite:  # as any non-finite sample leaves it
             for u, fu in zip(us, samples):
                 if not math.isfinite(fu):
                     raise NonFiniteSampleError(f"integrand returned a non-finite value at u = {u!r}")

@@ -13,7 +13,8 @@ arithmetic error) never aborts the check: it scores an infinite residual,
 so the check fails, and the notes name the point and the error.
 Points of one check that need the same value share it within the call:
 the ladder check evaluates each g(n, x) once, the path check climbs the
-ladder once per x, and the genfunc check reads one run of orders per x.
+ladder once per x from the g(1, x) it compares against, and the genfunc
+check reads one run of orders per x. Inputs are read once, whole.
 
 Each check is a pure function of its grid and accuracy budget, so two runs
 with the same inputs produce bit-identical reports.
@@ -27,7 +28,7 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from . import family
-from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _require_int
+from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_point, _require_int
 from .errors import DomainError, QuadratureError
 from .family import (
     _TAIL_PROBE,
@@ -36,7 +37,6 @@ from .family import (
     _derivative_series,
     _genfunc_orders,
     _integral,
-    _ladder_path,
     _leading,
     _partial_sum,
     _tail_bound,
@@ -48,7 +48,6 @@ from .family import (
     genfunc_tail_bound,  # noqa: F401  perfbench/spans.py wraps it here
     ladder_delta,  # noqa: F401  perfbench/spans.py wraps it here
 )
-from .quadrature import _checked
 from .sequences import harmonic, zeta_even_bernoulli, zeta_even_direct
 
 ID_DERIVATIVE = "derivative_fd_vs_cot"
@@ -165,18 +164,17 @@ def _run(identity_id: str, grid, label: str, residual, tolerance, notes) -> Iden
     return IdentityReport(identity_id, grid, worst, tolerance, worst <= tolerance, notes)
 
 
+def _read(name: str, values: Iterable) -> tuple:
+    # every input is read once, so a one-shot iterable is seen whole
+    try:
+        values = iter(values)
+    except TypeError:
+        raise DomainError(f"{name} must be iterable") from None
+    return tuple(values)
+
+
 def _coerce_grid(grid: Iterable) -> tuple[GridPoint, ...]:
-    points = []
-    for entry in grid:
-        if not isinstance(entry, GridPoint):
-            try:
-                n, x = entry
-                x = float(x)
-            except (TypeError, ValueError):
-                raise DomainError(f"grid entries must be (n, x) pairs, got {entry!r}") from None
-            entry = GridPoint(n, x)
-        points.append(entry)
-    return tuple(points)
+    return tuple(_as_point(GridPoint, entry) for entry in _read("grid", grid))
 
 
 def check_derivative(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
@@ -199,12 +197,10 @@ def check_ladder(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy = DEFAULT_A
     """Direct difference g(n+1, x) - g(n, x) against the single-integral
     ladder step; tolerance 1e-8 from the three quadrature budgets involved."""
     notes = f"tolerance from the error budget of three {acc.quad_rel_tol:g} quadratures"
-    # each g(n, x) once, as an interior one ends one difference and starts the next; one kernel row per x
-    row = cache(family._sinc_row)
-    g = cache(lambda n, x: _checked(family._integral(GridPoint(n, x), acc, row=row(x))).value)
+    scale = cache(lambda x: family._scale(x, acc))  # each g(n, x) once: an interior one ends one difference and starts the next
     return _run(
         ID_LADDER, _coerce_grid(grid), _POINT_LABEL,
-        lambda p: abs(g(p.n + 1, p.x) - g(p.n, p.x) - _checked(family._ladder_delta(p.n, p.x, acc, row=row(p.x))).value),
+        lambda p: abs(scale(p.x).g(p.n + 1).value - scale(p.x).g(p.n).value - scale(p.x).step(p.n).value),
         TOL_LADDER, notes,
     )
 
@@ -214,12 +210,10 @@ def check_path_equivalence(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy =
     residual is divided by n so one tolerance covers the n accumulated
     quadrature budgets."""
     notes = "residuals scaled by 1/n; tolerance per accumulated quadrature budget"
-    points = _coerce_grid(grid)
-    # one climb per x, to the highest order asked for there: its prefixes are the lower orders' climbs
-    climb = cache(lambda x: _ladder_path(x, max(p.n for p in points if p.x == x), acc))
+    scale = cache(lambda x: family._scale(x, acc))  # one climb per x, extended as asked; its rung 1 is g(1, x)
     return _run(
-        ID_PATH, points, _POINT_LABEL,
-        lambda p: abs(_checked(climb(p.x)[p.n - 1]).value - eval_integral(p, acc)) / p.n, TOL_PATH, notes,
+        ID_PATH, _coerce_grid(grid), _POINT_LABEL,
+        lambda p: abs(scale(p.x).rung(p.n).value - scale(p.x).g(p.n).value) / p.n, TOL_PATH, notes,
     )
 
 
@@ -277,6 +271,7 @@ def check_genfunc(
     """Closed form of the generating function against its order-N partial
     sum; tolerance 1e-8 plus the largest empirical geometric tail bound."""
     _require_int("N", N, 1)
+    xs, zs = _read("xs", xs), _read("zs", zs)
     grid = [(p.x, p.z) for p in (GenfuncPoint(x, z) for x in xs for z in zs)]  # validate up front
     orders = cache(lambda x: _genfunc_orders(x, N + _TAIL_PROBE, acc))  # g(1..N+_TAIL_PROBE, x), shared by every z at x
     tails = [0.0]
@@ -351,6 +346,7 @@ def audit_small_x(
     conflicts with the canonical definition, which grows like
     -2 log x.
     """
+    xs = _read("xs", xs)
     if not xs:
         raise DomainError("xs must be non-empty")
     points = [GridPoint(n, x) for x in xs]
@@ -374,6 +370,7 @@ def audit_large_n(
     their gap per row. No pass/fail: the weight concentrates at u = 0 as
     n grows, so the family grows like 2 log n instead of decaying.
     """
+    ns = _read("ns", ns)
     if not ns:
         raise DomainError("ns must be non-empty")
     points = [GridPoint(n, x) for n in ns]

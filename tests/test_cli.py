@@ -291,6 +291,20 @@ class TestTableLadderClimb:
             assert (integral, quad_err) == (single.value, single.err_estimate)
             assert ladder == evaluate(GridPoint(n, x), method="ladder").value
 
+    def test_climb_reads_the_integral_columns_first_order(self, monkeypatch):
+        # per x: 10 orders of g, and 9 steps above rung 1, which is g(1, x) itself
+        calls = []
+        integrate_de = family.integrate_de
+
+        def counting(f, acc):
+            calls.append(f)
+            return integrate_de(f, acc)
+
+        monkeypatch.setattr(family, "integrate_de", counting)
+        code, _ = table_rows(monkeypatch, "--n-list", "1,2,3,4,5,6,7,8,9,10", "--x-list", "0.3,0.7")
+        assert code == 0
+        assert len(calls) == 2 * (10 + 9) == 38
+
     def test_starved_table_keeps_its_warnings(self, capsys, monkeypatch):
         # only the order-5 integrals run out of budget
         integral = family._integral

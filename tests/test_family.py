@@ -376,8 +376,12 @@ class TestLadderRoute:
     @pytest.mark.parametrize("acc", [Accuracy(), STARVED], ids=["default", "starved"])
     def test_path_prefixes_are_the_ladder_route(self, acc):
         # rung n of one climb is g(1, x) plus steps 1..n-1, summed in that
-        # order, which is the ladder route's value at n bit for bit
-        path = family._ladder_path(0.3, 6, acc)
+        # order, which is a climb that stops at n, bit for bit; a rung that did
+        # not converge raises with its value as the result
+        climb = family._scale(0.3, acc).rung
+        top = best_estimate(climb, 6)  # the lower rungs are read from this climb's prefix
+        path = [best_estimate(climb, n) for n in range(1, 7)]
+        assert path[-1] is top
         parts = [family._integral(GridPoint(1, 0.3), acc)]
         parts += [family._ladder_delta(k, 0.3, acc) for k in range(1, 6)]
         value, err, evaluations, converged = 0.0, 0.0, 0, True
@@ -387,7 +391,7 @@ class TestLadderRoute:
             evaluations += part.evaluations
             converged = converged and part.converged
             assert rung == Evaluation(value, err, evaluations, converged)
-            assert rung == family._via_ladder(GridPoint(n, 0.3), acc)
+            assert rung == best_estimate(family._scale(0.3, acc).rung, n)
         assert converged is (acc is not STARVED)
 
     def test_via_ladder_agrees_with_integral(self):
@@ -452,6 +456,47 @@ class TestRealArguments:
     )
     def test_non_real_rejected(self, call, name):
         with pytest.raises(DomainError, match=f"^{name} must"):
+            call()
+
+
+class TestPointRecords:
+    # a route takes its point record or the plain pair of its fields, as the checks do
+    @pytest.mark.parametrize(
+        "route",
+        [
+            pytest.param(lambda p: evaluate(p), id="evaluate"),
+            pytest.param(lambda p: evaluate(p, method="ladder"), id="evaluate-ladder"),
+            pytest.param(eval_integral, id="eval_integral"),
+            pytest.param(eval_derivative_cot, id="eval_derivative_cot"),
+            pytest.param(eval_derivative_series, id="eval_derivative_series"),
+            pytest.param(eval_via_ladder, id="eval_via_ladder"),
+        ],
+    )
+    def test_grid_routes_take_an_n_x_pair(self, route):
+        assert route((3, 0.5)) == route(GridPoint(3, 0.5))
+        assert route([np.int64(3), "0.5"]) == route(GridPoint(3, 0.5))
+
+    def test_genfunc_closed_takes_an_x_z_pair(self):
+        assert genfunc_closed((0.5, 0.3)) == genfunc_closed(GenfuncPoint(0.5, 0.3))
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            pytest.param(lambda: evaluate(3), r"\(n, x\) pairs", id="evaluate(3)"),
+            pytest.param(lambda: evaluate((3, 0.5, 1)), r"\(n, x\) pairs", id="evaluate((3, 0.5, 1))"),
+            pytest.param(lambda: eval_integral((3, "half")), r"\(n, x\) pairs", id="eval_integral((3, 'half'))"),
+            pytest.param(lambda: eval_integral((3, 1.5)), "x must satisfy", id="eval_integral((3, 1.5))"),
+            pytest.param(lambda: eval_via_ladder((2.5, 0.5)), "n must be an integer", id="eval_via_ladder((2.5, 0.5))"),
+            pytest.param(lambda: genfunc_closed(None), r"\(x, z\) pairs", id="genfunc_closed(None)"),
+            pytest.param(lambda: genfunc_closed((0.5, 0.95)), "z must be", id="genfunc_closed((0.5, 0.95))"),
+            pytest.param(lambda: genfunc_closed((0.5,)), r"\(x, z\) pairs", id="genfunc_closed((0.5,))"),
+            # a record of the other type is refused, not read as a pair of this one's fields
+            pytest.param(lambda: genfunc_closed(GridPoint(1, 0.5)), r"\(x, z\) pairs", id="genfunc_closed(GridPoint)"),
+            pytest.param(lambda: evaluate(GenfuncPoint(0.5, 0.3)), r"\(n, x\) pairs", id="evaluate(GenfuncPoint)"),
+        ],
+    )
+    def test_anything_but_a_valid_pair_rejected(self, call, message):
+        with pytest.raises(DomainError, match=message):
             call()
 
 
@@ -571,6 +616,14 @@ class TestAveragedIntegrand:
         assert 0 < len(calls) < step.evaluations
 
 
+def best_estimate(route, *args):
+    # the route's Evaluation whether or not it converged
+    try:
+        return route(*args)
+    except NonConvergenceError as exc:
+        return exc.result
+
+
 def fields(ev):
     return (ev.value.hex(), ev.err_estimate.hex(), ev.evaluations, ev.converged)
 
@@ -582,11 +635,11 @@ class TestSharedKernelRow:
     def test_shared_row_values_are_the_single_point_values(self, x):
         # one row serves every order in turn, rising and falling in n, and the
         # orders whose weight underflows read a row that others filled further
-        row = family._sinc_row(x)
+        scale = family._scale(x, DEFAULT_ACCURACY)
         for n in (1, 2, 10, 10**6, 3, 10**4, 40, 10**3):
             p = GridPoint(n, x)
-            assert fields(family._integral(p, DEFAULT_ACCURACY, row=row)) == fields(family._integral(p, DEFAULT_ACCURACY))
-            step = family._ladder_delta(n, x, DEFAULT_ACCURACY, row=row)
+            assert fields(scale.g(n)) == fields(family._integral(p, DEFAULT_ACCURACY))
+            step = scale.step(n)
             naive = family._moment(
                 pointwise(lambda u: ((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) * _log_sinc(math.pi * x * u)),
                 DEFAULT_ACCURACY,
@@ -596,7 +649,7 @@ class TestSharedKernelRow:
 
     def test_row_stops_where_every_weight_has_underflowed(self, monkeypatch):
         calls = count_kernel_calls(monkeypatch)
-        ev = family._integral(GridPoint(10**6, 0.5), DEFAULT_ACCURACY, row=family._sinc_row(0.5))
+        ev = family._scale(0.5, DEFAULT_ACCURACY).g(10**6)
         assert 0 < len(calls) < ev.evaluations
 
     def test_genfunc_orders_sample_each_node_once(self, monkeypatch):
@@ -612,9 +665,10 @@ class TestSharedKernelRow:
     def test_climb_samples_each_node_once(self, monkeypatch):
         # the order-1 integral and 11 steps, all over one row
         calls = count_kernel_calls(monkeypatch)
-        path = family._ladder_path(0.3, 12, DEFAULT_ACCURACY)
+        climb = family._scale(0.3, DEFAULT_ACCURACY).rung
+        top = climb(12)
         assert len(calls) == len(set(calls))
-        assert len(calls) == path[0].evaluations == path[-1].evaluations / 12
+        assert len(calls) == climb(1).evaluations == top.evaluations / 12
 
     def test_single_point_route_skips_underflowed_weights(self, monkeypatch):
         # a route called alone keeps today's skip where (1-u)^(n-1) underflows

@@ -80,6 +80,31 @@ class TestCotKernel:
             cot_kernel(1.2, 0.5)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: log_sin_kernel(0.5, None), "0 < u <= 1", id="log_sin_kernel(0.5, None)"),
+        pytest.param(lambda: log_sin_kernel(0.5, "0.5"), "0 < u <= 1", id="log_sin_kernel(0.5, '0.5')"),
+        pytest.param(lambda: log_sin_kernel(0.5, True), "0 < u <= 1", id="log_sin_kernel(0.5, True)"),
+        pytest.param(lambda: cot_kernel(0.5, 0.5j), "0 <= u <= 1", id="cot_kernel(0.5, 0.5j)"),
+        pytest.param(lambda: cot_kernel(0.5, math.nan), "0 <= u <= 1", id="cot_kernel(0.5, nan)"),
+        pytest.param(lambda: weight(2, "a"), "0 <= u <= 1", id="weight(2, 'a')"),
+        pytest.param(lambda: weight(2, None), "0 <= u <= 1", id="weight(2, None)"),
+    ],
+)
+def test_kernels_reject_a_non_real_abscissa(call, message):
+    # a DomainError, never a stray TypeError from the range comparison
+    with pytest.raises(DomainError, match=f"^u must satisfy {message}$"):
+        call()
+
+
+def test_kernels_take_any_real_abscissa():
+    # an int or a numpy float passes the check that a plain float skips
+    assert log_sin_kernel(0.5, 1) == log_sin_kernel(0.5, 1.0)
+    assert cot_kernel(0.5, np.float32(0.5)) == cot_kernel(0.5, float(np.float32(0.5)))
+    assert weight(3, 0) == weight(3, 0.0)
+
+
 class TestWeight:
     def test_values(self):
         assert weight(1, 0.0) == 1.0
@@ -247,6 +272,21 @@ class TestLevelContract:
     def test_wrong_row_length_rejected(self, extra):
         with pytest.raises(DomainError, match="samples for"):
             integrate_de(lambda us: [1.0] * (len(us) + extra))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            pytest.param(lambda us: (1.0 for _ in us), id="generator"),
+            pytest.param(lambda us: 1.0, id="float"),
+            pytest.param(lambda us: [None] * len(us), id="None"),
+            pytest.param(lambda us: ["1.0"] * len(us), id="str"),
+            pytest.param(lambda us: [1.0] * (len(us) - 1) + [1j], id="complex"),
+        ],
+    )
+    def test_result_that_is_no_row_of_real_samples_rejected(self, f):
+        # a DomainError, never a stray TypeError from len(), the product or the finiteness test
+        with pytest.raises(DomainError, match="^integrand must return a sequence of one real sample per abscissa$"):
+            integrate_de(f)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_names_its_abscissa(self, bad):

@@ -176,8 +176,8 @@ class TestChecks:
     @pytest.mark.parametrize("check,integrals", [
         # 11 orders x 9 scales of g, plus one ladder step per point
         pytest.param(check_ladder, 99 + 90, id="ladder"),
-        # one climb of 10 rungs per scale, plus one direct integral per point
-        pytest.param(check_path_equivalence, 9 * 10 + 90, id="path_equivalence"),
+        # 10 orders x 9 scales of g, plus one climb of 9 steps per scale above its rung 1, g(1, x)
+        pytest.param(check_path_equivalence, 90 + 9 * 9, id="path_equivalence"),
     ])
     def test_check_evaluates_each_value_once(self, monkeypatch, check, integrals):
         import logsine.family as family
@@ -208,6 +208,21 @@ class TestChecks:
         assert check_ladder().passed
         assert len(calls) == len(set(calls)) == 9 * 101
 
+    def test_path_check_samples_each_kernel_node_once_per_scale(self, monkeypatch):
+        # the climb and the direct integrals at one x read one row: 9 rows of 101 nodes
+        import logsine.family as family
+
+        calls = []
+        kernel = family._log_sinc
+
+        def counting(w):
+            calls.append(w)
+            return kernel(w)
+
+        monkeypatch.setattr(family, "_log_sinc", counting)
+        assert check_path_equivalence().passed
+        assert len(calls) == len(set(calls)) == 909
+
     def test_shared_values_keep_the_pointwise_residuals(self):
         # values shared across a grid give each point the residual its one-point check reports
         grid = [(3, 0.5), (1, 0.5), (2, 1.0), (2, 0.5)]
@@ -227,6 +242,28 @@ class TestChecks:
     def test_genfunc_rejects_empty(self):
         with pytest.raises(DomainError):
             check_genfunc(xs=(), zs=(0.5,))
+
+    def test_one_shot_iterables_are_read_whole(self):
+        # a generator is read once, so every z is checked at every x
+        zs = (-0.5, -0.3, 0.3, 0.5)
+        assert check_genfunc(xs=[0.3, 0.5], zs=(z for z in zs)) == check_genfunc(xs=[0.3, 0.5], zs=zs)
+        assert audit_small_x(xs=(x for x in (1e-2, 1e-3))) == audit_small_x(xs=(1e-2, 1e-3))
+        assert audit_large_n(ns=(n for n in (10, 20))) == audit_large_n(ns=(10, 20))
+        assert check_ladder(grid=(p for p in [(1, 0.5), (2, 0.3)])) == check_ladder(grid=[(1, 0.5), (2, 0.3)])
+
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            pytest.param(lambda: check_genfunc(xs=None), "xs", id="check_genfunc(xs=None)"),
+            pytest.param(lambda: check_genfunc(zs=0.5), "zs", id="check_genfunc(zs=0.5)"),
+            pytest.param(lambda: audit_small_x(xs=0.01), "xs", id="audit_small_x(xs=0.01)"),
+            pytest.param(lambda: audit_large_n(ns=None), "ns", id="audit_large_n(ns=None)"),
+            pytest.param(lambda: check_ladder(grid=None), "grid", id="check_ladder(grid=None)"),
+        ],
+    )
+    def test_non_iterable_inputs_rejected(self, call, name):
+        with pytest.raises(DomainError, match=f"^{name} must be iterable$"):
+            call()
 
     def test_bernoulli_zeta_passes(self):
         report = check_bernoulli_zeta()
@@ -250,27 +287,38 @@ class TestChecks:
         assert report.max_abs_residual == math.inf
         assert "evaluation failures" in report.notes
 
-    def test_failed_climb_fails_every_point_at_its_x(self, monkeypatch):
-        import logsine.verify as verify
+    def test_failed_climb_fails_every_point_above_it_at_its_x(self, monkeypatch):
+        import logsine.family as family
         from logsine import NonFiniteSampleError
 
-        climbs = []
-        ladder_path = verify._ladder_path
+        steps = []
+        ladder_delta = family._ladder_delta
 
-        def failing(x, n_max, acc):
-            climbs.append((x, n_max))
+        def failing(n, x, acc, row=None):
+            steps.append((n, x))
             if x == 0.5:
                 raise NonFiniteSampleError("injected")
-            return ladder_path(x, n_max, acc)
+            return ladder_delta(n, x, acc, row=row)
 
-        monkeypatch.setattr(verify, "_ladder_path", failing)
-        report = check_path_equivalence(grid=[(2, 0.3), (1, 0.5), (1, 0.3), (3, 0.5)])
+        monkeypatch.setattr(family, "_ladder_delta", failing)
+        report = check_path_equivalence(grid=[(2, 0.3), (2, 0.5), (1, 0.3), (3, 0.5), (1, 0.5)])
         assert not report.passed
         assert report.max_abs_residual == math.inf
-        # only the points at x = 0.5 fail; the shared climb at x = 0.3 still scores both of its points
-        assert report.notes.split("; evaluation failures: ")[1] == "(n=1, x=0.5): injected; (n=3, x=0.5): injected"
-        # a failed climb is not kept: the next point at its x climbs again
-        assert climbs == [(0.3, 2), (0.5, 3), (0.5, 3)]
+        # only the points at x = 0.5 that need the failed step fail; rung 1 is g(1, 0.5) itself,
+        # and the shared climb at x = 0.3 still scores both of its points
+        assert report.notes.split("; evaluation failures: ")[1] == "(n=2, x=0.5): injected; (n=3, x=0.5): injected"
+        # a failed step is not kept: the next point at its x climbs again from the rung below it
+        assert steps == [(1, 0.3), (1, 0.5), (1, 0.5)]
+
+    def test_order_past_the_ladder_cap_fails_only_its_own_point(self):
+        # each rung checks the cap before any quadrature, so the climb at x = 0.5 still serves n = 5
+        report = check_path_equivalence([(5, 0.5), (20000, 0.5)])
+        assert not report.passed
+        assert report.notes == (
+            "residuals scaled by 1/n; tolerance per accumulated quadrature budget; evaluation failures: "
+            "(n=20000, x=0.5): n must satisfy n <= 10000 (LADDER_MAX_ORDER) on the ladder route"
+        )
+        assert check_path_equivalence([(5, 0.5)]).passed
 
     def test_failed_integral_fails_every_difference_that_reads_it(self, monkeypatch):
         import logsine.family as family
