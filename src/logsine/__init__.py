@@ -26,7 +26,7 @@ from .family import (
     genfunc_tail_bound,
     ladder_delta,
 )
-from .quadrature import Evaluation, cot_kernel, integrate_de, log_sin_kernel, weight
+from .quadrature import Evaluation, cot_kernel, from_samples, integrate_de, log_sin_kernel, weight
 from .sequences import (
     BERNOULLI_MAX_INDEX,
     bernoulli_even,
@@ -94,6 +94,7 @@ __all__ = [
     "eval_integral",
     "eval_via_ladder",
     "evaluate",
+    "from_samples",
     "genfunc_closed",
     "genfunc_partial",
     "genfunc_tail_bound",

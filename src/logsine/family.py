@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from operator import mul
 from types import SimpleNamespace
 
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_point, _require_int
 from .errors import DomainError, NonConvergenceError
-from .quadrature import Evaluation, _checked, _cot_remainder, _log_sinc, integrate_de
+from .quadrature import Evaluation, _checked, _cot_remainder, _log_sinc, from_samples, integrate_de
 from .sequences import harmonic, zeta_even
 
 CONSTANT_AS_PRINTED = "as_printed"
@@ -59,44 +58,55 @@ def _moment(integrand, acc: Accuracy) -> Evaluation:
         return exc.result
 
 
-def _averaged(n: int, kernel, a: float):
-    # us -> n (1-u)^(n-1) kernel(a u) for one integral. Where the weight has
-    # underflowed the product would be +-0.0, which the Kahan sum takes like
-    # +0.0, and both kernels are finite on 0 <= a u < pi: skipping the call
-    # changes no bit and hides no non-finite sample.
-    return lambda us: [n * w * kernel(a * u) if (w := (1.0 - u) ** (n - 1)) else 0.0 for u in us]
+def _beta_sum(n: int, kernel, a: float, step: bool = False):
+    # (us, dudts) -> one level's Kahan sum, in ascending u, of c (1-u)^(n-1) kernel(a u) du/dt, c = n or, for the
+    # ladder step, (n+1)(1-u) - n. The weight falls as u rises: from its first underflow to 0.0 every sample is
+    # +-0.0, so the loop stops there, without calling the kernel, and folds those zeros into the sum
+    m = n - 1
+
+    def level(us: tuple[float, ...], dudts: tuple[float, ...]) -> float:
+        total = comp = 0.0
+        stop = len(us)
+        for u, dudt in zip(us, dudts):
+            v = 1.0 - u
+            w = v ** m
+            if not w:
+                stop = us.index(u)
+                break
+            y = ((n + 1) * v - n if step else n) * w * kernel(a * u) * dudt - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        for _ in range(len(us) - stop):  # a 0.0 sample's Kahan step adds -comp: once it changes nothing, none will
+            t = total - comp
+            if t == total:
+                break
+            total, comp = t, (t - total) + comp
+        if not math.isfinite(total):  # as a non-finite sample leaves it: from_samples names the first
+            head = [((n + 1) * (1.0 - u) - n if step else n) * (1.0 - u) ** m * kernel(a * u) for u in us[:stop]]
+            return from_samples(lambda us: head + [0.0] * (len(us) - stop))(us, dudts)
+        return total
+
+    return level
 
 
-def _sinc_row(x: float):
-    # (ws, us) -> ws[i] log sinc(pi x us[i]) at one level's abscissae us, kept per
-    # level for every order evaluated at x: each node is sampled once, up to the
-    # last nonzero weight (as in _averaged), for as long as the caller keeps the row
-    a, levels = math.pi * x, {}
-
-    def row(ws: list[float], us: tuple[float, ...]) -> list[float]:
-        while ws and not ws[-1]:
-            ws.pop()
-        values = levels.setdefault(us, [])
-        if len(values) < len(ws):
-            values.extend([_log_sinc(a * u) for u in us[len(values):len(ws)]])
-        return list(map(mul, ws, values)) + [0.0] * (len(us) - len(ws))
-
-    return row
+class _SincRow(dict):  # w -> log sinc(w), taken once per w: every order at one x reads the same samples
+    def __missing__(self, w: float) -> float:
+        self[w] = value = _log_sinc(w)
+        return value
 
 
 def _integral(p: GridPoint, acc: Accuracy, row=None) -> Evaluation:
     # 2 H_n - 2 log(2 pi x) - q, q = n int_0^1 (1-u)^(n-1) log sinc(pi x u) du;
-    # row, if given, is the _sinc_row at x that the caller shares across orders
+    # row, if given, is the kernel of a _SincRow at x that the caller shares across orders
     n, x = p.n, p.x
     log_x = math.log(x)
     if n == 1 and x == 1.0:
         # only the order-1 weight is nonzero at u = 1, where log sinc(pi u) ~ log(1-u)
-        q = _moment(lambda us: [_log_sinc(math.pi * u) - math.log1p(-u) for u in us], acc)
+        q = _moment(_beta_sum(1, lambda u: _log_sinc(math.pi * u) - math.log1p(-u), 1.0), acc)
         q = q._replace(value=q.value - 1.0)
-    elif row:
-        q = _moment(lambda us: row([n * (1.0 - u) ** (n - 1) for u in us], us), acc)
     else:
-        q = _moment(_averaged(n, _log_sinc, math.pi * x), acc)
+        q = _moment(_beta_sum(n, row or _log_sinc, math.pi * x), acc)
     h = harmonic(n)
     floor = _EPS * (2.0 * h + 2.0 * (_LOG_2PI - log_x) + abs(q.value))  # rounding of the terms
     return Evaluation(_leading(h, x) - q.value, q.err_estimate + floor, q.evaluations, q.converged)
@@ -107,7 +117,7 @@ def _derivative_cot(p: GridPoint, acc: Accuracy) -> Evaluation:
     n, x = p.n, p.x
     if n == 1 and x == 1.0:
         raise DomainError("the derivative diverges like log(1-x) at n = 1, x = 1")
-    q = _moment(_averaged(n, _cot_remainder, math.pi * x), acc)
+    q = _moment(_beta_sum(n, _cot_remainder, math.pi * x), acc)
     return q._replace(value=-2.0 - q.value, err_estimate=q.err_estimate + _EPS * (2.0 + abs(q.value)))
 
 
@@ -140,10 +150,9 @@ def _ladder_delta(n: int, x: float, acc: Accuracy, row=None) -> Evaluation:
     # K = (n+1)(1-u)^n - n(1-u)^(n-1) has log moment -1/(n+1)
     if n == 1 and x == 1.0:
         # K = 1 - 2u is -1 at u = 1: as in _integral, with int_0^1 K log(1-u) du = 1/2
-        q = _moment(lambda us: [(1.0 - 2.0 * u) * (_log_sinc(math.pi * u) - math.log1p(-u)) for u in us], acc)
+        q = _moment(_beta_sum(1, lambda u: (1.0 - 2.0 * u) * (_log_sinc(math.pi * u) - math.log1p(-u)), 1.0), acc)
         return q._replace(value=0.5 - q.value)
-    row = row or _sinc_row(x)
-    q = _moment(lambda us: row([((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) for u in us], us), acc)
+    q = _moment(_beta_sum(n, row or _log_sinc, math.pi * x, step=True), acc)
     return q._replace(value=2.0 / (n + 1) - q.value)
 
 
@@ -153,11 +162,11 @@ def _require_climbable(n: int) -> None:
 
 
 def _scale(x: float, acc: Accuracy) -> SimpleNamespace:
-    # checked routes at one x over one _sinc_row: g(n) evaluates each order once, step(n) is the ladder
+    # checked routes at one x over one _SincRow: g(n) evaluates each order once, step(n) is the ladder
     # step from n, and rung(n) extends one climb from g(1) as far as asked, so every rung sums as a
     # climb that stops there would. A raised error is not kept. Routes are looked up by their
     # module-global names at each call, so a wrapper put there (perfbench/spans.py) sees every one.
-    row = _sinc_row(x)
+    row = _SincRow().__getitem__
     integral = cache(lambda n: _integral(GridPoint(n, x), acc, row=row))
     path: list[Evaluation] = []
 
@@ -259,7 +268,8 @@ def genfunc_closed(q: GenfuncPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     q = q if type(q) is GenfuncPoint else _as_point(GenfuncPoint, q)
     x, z = q.x, q.z
     # the kernel's mass z/(1-z) and log moment log(1-z)/(1-z) are closed forms
-    quad = _moment(lambda us: [_log_sinc(math.pi * x * u) * z / ((d := 1.0 - z * (1.0 - u)) * d) for u in us], acc)
+    quad = _moment(from_samples(
+        lambda us: [_log_sinc(math.pi * x * u) * z / ((d := 1.0 - z * (1.0 - u)) * d) for u in us]), acc)
     closed = -2.0 * (z / (1.0 - z)) * (_LOG_2PI + math.log(x)) - 2.0 * math.log1p(-z) / (1.0 - z)
     return _checked(quad._replace(value=closed - quad.value)).value
 

@@ -39,9 +39,9 @@ _REMAINDER_SERIES_CUTOFF = 1e-2  # remainder kernels use their series below it (
 
 
 class Evaluation(namedtuple("Evaluation", "value err_estimate evaluations converged")):
-    """A value, its accumulated error estimate, the integrand samples or
-    series terms it consumed, and whether every quadrature behind it met
-    its tolerance.
+    """A value, its accumulated error estimate, the quadrature abscissae (every
+    node of every level used, sampled or not) or series terms it took, and
+    whether every quadrature behind it met its tolerance.
 
     For one integral, err_estimate is the absolute difference between the
     last two refinement levels; on convergence it satisfies
@@ -141,21 +141,17 @@ def _level(level: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(zip(*_level_nodes(level)))  # the abscissae and their du/dt, ascending in t
 
 
-def integrate_de(f: Callable[[tuple[float, ...]], Sequence[float]], acc: Accuracy = DEFAULT_ACCURACY) -> Evaluation:
+def integrate_de(f: Callable[..., float], acc: Accuracy = DEFAULT_ACCURACY) -> Evaluation:
     """Integrate over (0, 1) by tanh-sinh refinement, one level at a time.
 
-    f receives each refinement level's abscissae as one ascending tuple,
-    strictly inside (0, 1) and the same object at every call, and returns
-    one sample per abscissa. A scalar integrand g is integrated as
-    integrate_de(lambda us: [g(u) for u in us]).
+    f(us, dudts) receives a refinement level's abscissae and their du/dt,
+    ascending in u, strictly inside (0, 1) and the same tuples at every call,
+    and returns the level's Kahan-compensated sum of sample * du/dt. A scalar
+    integrand g is integrated as integrate_de(from_samples(lambda us: [g(u) for u in us])).
 
     The trapezoid step on the transformed axis is halved until the
     level-to-level difference is within quad_rel_tol * max(|value|, 1)
-    or the refinement budget is exhausted.
-
-    Raises DomainError for a sample list of the wrong length, a result
-    with no length or a sample that is not a real number,
-    NonFiniteSampleError for a non-finite sample, and NonConvergenceError
+    or the refinement budget is exhausted. Raises NonConvergenceError
     (carrying the best estimate, converged=False) when the budget runs out.
     """
     value = 0.0  # so level 0's refined value is its bare trapezoid sum
@@ -163,12 +159,29 @@ def integrate_de(f: Callable[[tuple[float, ...]], Sequence[float]], acc: Accurac
     converged = False
     for level in range(acc.max_quad_refinements + 1):
         us, dudts = _level(level)
+        evaluations += len(us)
+        refined = 0.5 * value + _H0 / (1 << level) * f(us, dudts)
+        err = abs(refined - value)
+        value = refined
+        # agreement between the first coarse levels is not trustworthy, so
+        # at least three refinements are always performed; the reported
+        # estimate is then the difference of two already-accurate levels
+        if level >= 3 and err <= acc.quad_rel_tol * max(abs(value), 1.0):
+            converged = True
+            break
+    return _checked(Evaluation(value, err, evaluations, converged))
+
+
+def from_samples(f: Callable[[tuple[float, ...]], Sequence[float]]) -> Callable[..., float]:
+    """integrate_de's integrand for f, which returns one sample per abscissa of a level. Its sum raises DomainError
+    for a result that is no sequence of one real sample per abscissa, NonFiniteSampleError for a non-finite one."""
+
+    def level_sum(us: tuple[float, ...], dudts: tuple[float, ...]) -> float:
         samples = f(us)
         try:
             if len(samples) != len(us):
                 raise DomainError(f"integrand returned {len(samples)} samples for {len(us)} abscissae")
-            total = 0.0
-            comp = 0.0
+            total = comp = 0.0
             for fu, dudt in zip(samples, dudts):
                 y = fu * dudt - comp
                 t = total + y
@@ -182,17 +195,9 @@ def integrate_de(f: Callable[[tuple[float, ...]], Sequence[float]], acc: Accurac
             for u, fu in zip(us, samples):
                 if not math.isfinite(fu):
                     raise NonFiniteSampleError(f"integrand returned a non-finite value at u = {u!r}")
-        evaluations += len(us)
-        refined = 0.5 * value + _H0 / (1 << level) * total
-        err = abs(refined - value)
-        value = refined
-        # agreement between the first coarse levels is not trustworthy, so
-        # at least three refinements are always performed; the reported
-        # estimate is then the difference of two already-accurate levels
-        if level >= 3 and err <= acc.quad_rel_tol * max(abs(value), 1.0):
-            converged = True
-            break
-    return _checked(Evaluation(value, err, evaluations, converged))
+        return total
+
+    return level_sum
 
 
 def _checked(ev: Evaluation) -> Evaluation:

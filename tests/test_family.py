@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from logsine import (
     IdentityReport,
     LADDER_MAX_ORDER,
     NonConvergenceError,
+    NonFiniteSampleError,
     audit_large_n,
     audit_table,
     bernoulli_even,
@@ -26,6 +28,7 @@ from logsine import (
     eval_integral,
     eval_via_ladder,
     evaluate,
+    from_samples,
     genfunc_closed,
     genfunc_partial,
     genfunc_tail_bound,
@@ -37,7 +40,7 @@ from logsine import (
     zeta_even_direct,
 )
 from logsine.config import MAX_QUAD_REFINEMENTS
-from logsine.quadrature import _cot_remainder, _log_sinc
+from logsine.quadrature import _cot_remainder, _level_nodes, _log_sinc
 
 # Apery's constant zeta(3), exact to double precision
 ZETA_3 = 1.2020569031595943
@@ -556,17 +559,22 @@ class TestRecords:
 
 def pointwise(g):
     # the level-wise integrand of a scalar integrand g
-    return lambda us: [g(u) for u in us]
+    return from_samples(lambda us: [g(u) for u in us])
+
+
+# orders whose weight (1-u)^(n-1) never underflows on the engine's nodes (1), underflows
+# part way through the deeper levels (30, 100) and through every level (999 on)
+ORDERS = (1, 30, 100, 999, 10**4, 10**5, 10**6)
 
 
 class TestAveragedIntegrand:
-    # the integral and cot routes and the ladder step skip the kernel where
-    # (1-u)^(n-1) has underflowed to 0.0; the quadrature must not see the
-    # difference. The naive scalar integrands are the oracles.
+    # the integral and cot routes and the ladder step stop each level's sum at
+    # the first node where (1-u)^(n-1) has underflowed to 0.0; the quadrature
+    # must not see the difference. The naive scalar integrands are the oracles.
     CASES = [
         pytest.param(kernel, n, x, id=f"{kernel.__name__}-{n}-{x:g}")
         for kernel in (_log_sinc, _cot_remainder)
-        for n in (1, 10, 10**3, 10**4, 10**6)
+        for n in ORDERS
         for x in (1e-4, 0.5, 0.9999, 1.0)
         if not (kernel is _cot_remainder and (n, x) == (1, 1.0))
     ]
@@ -574,10 +582,9 @@ class TestAveragedIntegrand:
     @pytest.mark.parametrize("kernel, n, x", CASES)
     def test_matches_the_unskipped_integrand_bit_for_bit(self, kernel, n, x):
         a = math.pi * x
-        skipped = family._moment(family._averaged(n, kernel, a), DEFAULT_ACCURACY)
+        fused = family._moment(family._beta_sum(n, kernel, a), DEFAULT_ACCURACY)
         naive = family._moment(pointwise(lambda u: n * (1.0 - u) ** (n - 1) * kernel(a * u)), DEFAULT_ACCURACY)
-        assert (skipped.value.hex(), skipped.err_estimate.hex()) == (naive.value.hex(), naive.err_estimate.hex())
-        assert (skipped.evaluations, skipped.converged) == (naive.evaluations, naive.converged)
+        assert fields(fused) == fields(naive)
 
     def test_kernel_not_called_where_the_weight_underflows(self):
         calls = []
@@ -586,13 +593,12 @@ class TestAveragedIntegrand:
             calls.append(w)
             return _log_sinc(w)
 
-        ev = family._moment(family._averaged(10**6, kernel, 0.5 * math.pi), DEFAULT_ACCURACY)
+        ev = family._moment(family._beta_sum(10**6, kernel, 0.5 * math.pi), DEFAULT_ACCURACY)
         assert 0 < len(calls) < ev.evaluations
 
     # the order-1 step at x = 1 has its own kernel, free of the u = 1 singularity
     @pytest.mark.parametrize("n, x", [
-        pytest.param(n, x, id=f"{n}-{x:g}") for n in (1, 10, 10**3, 10**4) for x in (1e-4, 0.5, 0.9999, 1.0)
-        if (n, x) != (1, 1.0)
+        pytest.param(n, x, id=f"{n}-{x:g}") for n in ORDERS for x in (1e-4, 0.5, 0.9999, 1.0) if (n, x) != (1, 1.0)
     ])
     def test_ladder_step_matches_the_unskipped_integrand_bit_for_bit(self, n, x):
         step = family._ladder_delta(n, x, DEFAULT_ACCURACY)
@@ -600,20 +606,44 @@ class TestAveragedIntegrand:
             pointwise(lambda u: ((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) * _log_sinc(math.pi * x * u)),
             DEFAULT_ACCURACY,
         )
-        naive = q._replace(value=2.0 / (n + 1) - q.value)
-        assert (step.value.hex(), step.err_estimate.hex()) == (naive.value.hex(), naive.err_estimate.hex())
-        assert (step.evaluations, step.converged) == (naive.evaluations, naive.converged)
+        assert fields(step) == fields(q._replace(value=2.0 / (n + 1) - q.value))
 
     def test_ladder_step_skips_the_kernel_where_the_weight_underflows(self, monkeypatch):
-        calls = []
-
-        def kernel(w):
-            calls.append(w)
-            return _log_sinc(w)
-
-        monkeypatch.setattr(family, "_log_sinc", kernel)
+        calls = count_kernel_calls(monkeypatch)
         step = family._ladder_delta(10**3, 0.5, DEFAULT_ACCURACY)
         assert 0 < len(calls) < step.evaluations
+
+    def test_no_weight_after_the_first_underflow_is_nonzero(self):
+        # the premise of the stop, at every level any Accuracy may reach (levels built uncached)
+        for level in range(MAX_QUAD_REFINEMENTS + 1):
+            us = [u for u, _ in _level_nodes.__wrapped__(level)]
+            for n in ORDERS:
+                ws = [(1.0 - u) ** (n - 1) for u in us]
+                first = ws.index(0.0) if 0.0 in ws else len(ws)
+                assert not any(ws[first:]), (level, n)
+
+
+class TestNonFiniteKernelSample:
+    # a kernel sample that is NaN at one node before the stop is named by its abscissa,
+    # whether the fused sum calls the kernel itself or reads it from a shared row
+    U = _level_nodes(0)[len(_level_nodes(0)) // 2][0]
+    MESSAGE = f"^{re.escape(f'integrand returned a non-finite value at u = {U!r}')}$"
+
+    @pytest.fixture(autouse=True)
+    def nan_at_one_node(self, monkeypatch):
+        kernel = family._log_sinc
+        target = math.pi * 0.5 * self.U
+        monkeypatch.setattr(family, "_log_sinc", lambda w: math.nan if w == target else kernel(w))
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: evaluate(GridPoint(100, 0.5)), id="integral"),
+        pytest.param(lambda: ladder_delta(100, 0.5), id="ladder-step"),
+        pytest.param(lambda: family._scale(0.5, DEFAULT_ACCURACY).g(100), id="shared-row-g"),
+        pytest.param(lambda: family._scale(0.5, DEFAULT_ACCURACY).step(100), id="shared-row-step"),
+    ])
+    def test_names_the_abscissa(self, call):
+        with pytest.raises(NonFiniteSampleError, match=self.MESSAGE):
+            call()
 
 
 def best_estimate(route, *args):
@@ -636,7 +666,7 @@ class TestSharedKernelRow:
         # one row serves every order in turn, rising and falling in n, and the
         # orders whose weight underflows read a row that others filled further
         scale = family._scale(x, DEFAULT_ACCURACY)
-        for n in (1, 2, 10, 10**6, 3, 10**4, 40, 10**3):
+        for n in (1, 2, 10, 10**6, 3, 10**4, 40, 30, 10**5, 100, 999):
             p = GridPoint(n, x)
             assert fields(scale.g(n)) == fields(family._integral(p, DEFAULT_ACCURACY))
             step = scale.step(n)

@@ -11,6 +11,7 @@ from logsine import (
     NonConvergenceError,
     NonFiniteSampleError,
     cot_kernel,
+    from_samples,
     integrate_de,
     log_sin_kernel,
     weight,
@@ -23,7 +24,7 @@ ZETA_3 = 1.2020569031595943
 
 def pointwise(g):
     # the level-wise integrand of a scalar integrand g
-    return lambda us: [g(u) for u in us]
+    return from_samples(lambda us: [g(u) for u in us])
 
 
 class TestLogSinKernel:
@@ -239,18 +240,31 @@ class TestLevelContract:
             levels.append(us)
             return [weight(3, u) * log_sin_kernel(0.7, u) for u in us]
 
-        q = integrate_de(f)
+        q = integrate_de(from_samples(f))
         assert [len(us) for us in levels] == [len(_level_nodes(level)) for level in range(len(levels))]
         for us in levels:
             assert type(us) is tuple
             assert all(0.0 < a < b < 1.0 for a, b in zip(us, us[1:]))
         assert q.evaluations == sum(len(us) for us in levels)
 
+    def test_integrand_returns_its_level_sum(self):
+        # f receives a level's abscissae and their du/dt, and returns the level's sum of sample * du/dt
+        seen = []
+
+        def f(us, dudts):
+            seen.append((us, dudts))
+            return math.fsum(u * u * dudt for u, dudt in zip(us, dudts))
+
+        q = integrate_de(f)
+        assert q.value == pytest.approx(1.0 / 3.0, abs=1e-14)
+        assert [tuple(zip(us, dudts)) for us, dudts in seen] == [_level_nodes(level) for level in range(len(seen))]
+        assert q.evaluations == sum(len(us) for us, _ in seen)
+
     def test_each_level_passes_the_same_tuple(self):
         # callers may key work they share across integrals by the level's tuple
         first, second = [], []
-        integrate_de(lambda us: first.append(us) or [1.0] * len(us))
-        integrate_de(lambda us: second.append(us) or [2.0] * len(us))
+        integrate_de(from_samples(lambda us: first.append(us) or [1.0] * len(us)))
+        integrate_de(from_samples(lambda us: second.append(us) or [2.0] * len(us)))
         assert len(first) == len(second)
         assert all(a is b for a, b in zip(first, second))
 
@@ -263,7 +277,7 @@ class TestLevelContract:
             return [log_sin_kernel(0.5, u) for u in us]
 
         try:
-            q = integrate_de(f, Accuracy(max_quad_refinements=refinements))
+            q = integrate_de(from_samples(f), Accuracy(max_quad_refinements=refinements))
         except NonConvergenceError as exc:
             q = exc.result
         assert q.evaluations == sum(requested)
@@ -271,7 +285,7 @@ class TestLevelContract:
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_row_length_rejected(self, extra):
         with pytest.raises(DomainError, match="samples for"):
-            integrate_de(lambda us: [1.0] * (len(us) + extra))
+            integrate_de(from_samples(lambda us: [1.0] * (len(us) + extra)))
 
     @pytest.mark.parametrize(
         "f",
@@ -286,14 +300,14 @@ class TestLevelContract:
     def test_result_that_is_no_row_of_real_samples_rejected(self, f):
         # a DomainError, never a stray TypeError from len(), the product or the finiteness test
         with pytest.raises(DomainError, match="^integrand must return a sequence of one real sample per abscissa$"):
-            integrate_de(f)
+            integrate_de(from_samples(f))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_names_its_abscissa(self, bad):
         # the first non-finite sample in ascending order is named, as with scalar integrands
         cut = 0.75
         with pytest.raises(NonFiniteSampleError) as excinfo:
-            integrate_de(lambda us: [bad if u > cut else 1.0 for u in us])
+            integrate_de(from_samples(lambda us: [bad if u > cut else 1.0 for u in us]))
         first = min(u for u, _ in _level_nodes(0) if u > cut)
         assert str(excinfo.value) == f"integrand returned a non-finite value at u = {first!r}"
 
@@ -301,5 +315,5 @@ class TestLevelContract:
         # only a non-finite sample raises NonFiniteSampleError; a sum that
         # overflows never converges, as with scalar integrands
         with pytest.raises(NonConvergenceError) as excinfo:
-            integrate_de(lambda us: [1e308] * len(us), Accuracy(max_quad_refinements=4))
+            integrate_de(from_samples(lambda us: [1e308] * len(us)), Accuracy(max_quad_refinements=4))
         assert excinfo.value.result.converged is False
