@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -40,7 +41,7 @@ from logsine import (
     zeta_even_direct,
 )
 from logsine.config import MAX_QUAD_REFINEMENTS
-from logsine.quadrature import _cot_remainder, _level_nodes, _log_sinc
+from logsine.quadrature import _cot_remainder, _level, _level_nodes, _log_sinc
 
 # Apery's constant zeta(3), exact to double precision
 ZETA_3 = 1.2020569031595943
@@ -622,6 +623,32 @@ class TestAveragedIntegrand:
                 first = ws.index(0.0) if 0.0 in ws else len(ws)
                 assert not any(ws[first:]), (level, n)
 
+    def test_zero_samples_after_the_stop_are_folded_exactly(self):
+        # a last sample before the stop that outweighs the running sum leaves a compensation
+        # that the 0.0 samples after it still move; the level sum must move as they would
+        n, a = 30, 1.0
+        us, dudts = _level(0)
+        ws = [(1.0 - u) ** (n - 1) for u in us]
+        last = ws.index(0.0) - 1
+        rng = random.Random(0)
+        for _ in range(2000):
+            base, big = rng.uniform(-2.0, 2.0), rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 3.0)
+            peak = big / (n * ws[last] * dudts[last])
+
+            def kernel(w, peak=peak, base=base):
+                return peak if w == a * us[last] else base
+
+            naive = from_samples(lambda us: [n * (1.0 - u) ** (n - 1) * kernel(a * u) for u in us])(us, dudts)
+            total = comp = 0.0  # the sum up to the stop, without the zeros after it
+            for u, dudt in zip(us[: last + 1], dudts):
+                y = n * (1.0 - u) ** (n - 1) * kernel(a * u) * dudt - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+            if total != naive:
+                break
+        assert total != naive, "no kernel found whose zeros move the sum"
+        assert family._beta_sum(n, kernel, a)(us, dudts) == naive
 
 class TestNonFiniteKernelSample:
     # a kernel sample that is NaN at one node before the stop is named by its abscissa,
