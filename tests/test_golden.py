@@ -32,6 +32,9 @@ PINNED = {
     ("derivative-cot", 10**4, 0.5): ("-0x1.ffffffb95f2edp+0", "0x1.1dc39f6e35069p-47", 201),
     ("derivative-cot", 10**6, 0.9999): ("-0x1.fffffffff8c46p+0", "0x1.3411cb444fe66p-41", 101),
     ("ladder", 100, 0.9999): ("0x1.acc4f0d49f907p+2", "0x1.31b28054869fcp-37", 15700),
+    # the order-1 cotangent kernel: its weight is flat, and it keeps the plain w cot w - 1
+    ("derivative-cot", 1, 0.5): ("-0x1.b17217f7d1cf8p+0", "0x1.4746f40417184p-51", 101),
+    ("derivative-cot", 1, 0.99): ("0x1.ce3602be3d938p+0", "0x1.2e71b015f1ecap-47", 201),
 }
 
 
