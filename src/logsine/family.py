@@ -6,7 +6,8 @@ The canonical definition is the integral representation
 
 As the weight's log moment is -H_n, it is evaluated as 2 H_n - 2 log(2 pi x) -
 n int_0^1 (1-u)^(n-1) log(sin w / w) du, w = pi x u; every route likewise
-integrates a smooth remainder and takes its endpoint terms in closed form.
+integrates a smooth remainder and takes its endpoint terms in closed form, and
+each Beta-weighted quadrature also its kernel's w^2 term, whose moment is exact.
 
 The other routes (scaled derivative via cotangent averages or via the
 even-zeta series, the ladder recursion in n, the generating function in z)
@@ -22,7 +23,8 @@ from types import SimpleNamespace
 
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_point, _require_int
 from .errors import DomainError, NonConvergenceError
-from .quadrature import Evaluation, _checked, _cot_remainder, _log_sinc, from_samples, integrate_de
+from .quadrature import Evaluation, _checked, from_samples, integrate_de
+from .quadrature import _cot_less_w2, _cot_remainder, _log_sinc, _log_sinc_less_w2
 from .sequences import harmonic, zeta_even
 
 CONSTANT_AS_PRINTED = "as_printed"
@@ -47,6 +49,15 @@ _LOG_2PI = math.log(2.0 * math.pi)
 def _leading(h: float, x: float) -> float:
     # 2 H_n - 2 log(2 pi x) for h = H_n, as log 2 pi + log x: a subnormal x is not rounded in 2 pi x
     return 2.0 * (h - _LOG_2PI - math.log(x))
+
+
+def _from_remainder(lead: float, size: float, q: Evaluation, moment: float) -> Evaluation:
+    # lead - (q - moment): q integrates a kernel less its w^2 term and moment is minus that term's exact moment. The
+    # rounding floor is c eps (size + |q| + |value|), size bounding lead's terms: lead errs by <= 1.5 eps size, moment
+    # (5 roundings) by <= 4 eps |moment| <= 4 eps (size + |q| + |value|), the subtractions by eps/2 (|q| + |moment| +
+    # |value|), so c = 6; c = 8 also covers the samples' own rounding, <= 2.3 on perfbench/reference.json (n = 1, x ~ 1)
+    value = lead - (q.value - moment)
+    return q._replace(value=value, err_estimate=q.err_estimate + 8.0 * _EPS * (size + abs(q.value) + abs(value)))
 
 
 def _moment(integrand, acc: Accuracy) -> Evaluation:
@@ -90,35 +101,39 @@ def _beta_sum(n: int, kernel, a: float, step: bool = False):
     return level
 
 
-class _SincRow(dict):  # w -> log sinc(w), taken once per w: every order at one x reads the same samples
+class _SincRow(dict):  # w -> log sinc(w) + w^2/6, taken once per w: every order at one x reads the same samples
     def __missing__(self, w: float) -> float:
-        self[w] = value = _log_sinc(w)
+        self[w] = value = _log_sinc_less_w2(w)
         return value
 
 
+def _sinc_at_one(u: float) -> float:
+    # log sinc(pi u) + (pi u)^2/6 - log(1-u), finite at u = 1, where the order-1 weights are nonzero: x = 1's kernel
+    return _log_sinc_less_w2(math.pi * u) - math.log1p(-u)
+
+
 def _integral(p: GridPoint, acc: Accuracy, row=None) -> Evaluation:
-    # 2 H_n - 2 log(2 pi x) - q, q = n int_0^1 (1-u)^(n-1) log sinc(pi x u) du;
-    # row, if given, is the kernel of a _SincRow at x that the caller shares across orders
+    # 2 H_n - 2 log(2 pi x) - q, q = n int_0^1 (1-u)^(n-1) log sinc(pi x u) du; the kernel's w^2 term -w^2/6 has moment
+    # -(pi x)^2 / (3 (n+1)(n+2)). row, if given, is the kernel of a _SincRow at x that the caller shares across orders
     n, x = p.n, p.x
-    log_x = math.log(x)
-    if n == 1 and x == 1.0:
-        # only the order-1 weight is nonzero at u = 1, where log sinc(pi u) ~ log(1-u)
-        q = _moment(_beta_sum(1, lambda u: _log_sinc(math.pi * u) - math.log1p(-u), 1.0), acc)
-        q = q._replace(value=q.value - 1.0)
-    else:
-        q = _moment(_beta_sum(n, row or _log_sinc, math.pi * x), acc)
+    a = math.pi * x
+    moment = a * a / (3.0 * (n + 1) * (n + 2))
+    if n == 1 and x == 1.0:  # int_0^1 log(1-u) du = -1
+        row, a, moment = _sinc_at_one, 1.0, moment + 1.0
+    q = _moment(_beta_sum(n, row or _log_sinc_less_w2, a), acc)
     h = harmonic(n)
-    floor = _EPS * (2.0 * h + 2.0 * (_LOG_2PI - log_x) + abs(q.value))  # rounding of the terms
-    return Evaluation(_leading(h, x) - q.value, q.err_estimate + floor, q.evaluations, q.converged)
+    return _from_remainder(_leading(h, x), 2.0 * h + 2.0 * (_LOG_2PI - math.log(x)), q, moment)
 
 
 def _derivative_cot(p: GridPoint, acc: Accuracy) -> Evaluation:
-    # -2 - n int_0^1 (1-u)^(n-1) (w cot w - 1) du: the kernel is 1 at u = 0
+    # -2 - n int_0^1 (1-u)^(n-1) (w cot w - 1) du: the kernel is 1 at u = 0. From n = 2 the quadrature takes it
+    # less its w^2 term -w^2/3, of moment -2 (pi x)^2 / (3 (n+1)(n+2)); n = 1's flat weight would gain no level
     n, x = p.n, p.x
     if n == 1 and x == 1.0:
         raise DomainError("the derivative diverges like log(1-x) at n = 1, x = 1")
-    q = _moment(_beta_sum(n, _cot_remainder, math.pi * x), acc)
-    return q._replace(value=-2.0 - q.value, err_estimate=q.err_estimate + _EPS * (2.0 + abs(q.value)))
+    a = math.pi * x
+    kernel, moment = (_cot_remainder, 0.0) if n == 1 else (_cot_less_w2, 2.0 * a * a / (3.0 * (n + 1) * (n + 2)))
+    return _from_remainder(-2.0, 2.0, _moment(_beta_sum(n, kernel, a), acc), moment)
 
 
 def _derivative_series(p: GridPoint, acc: Accuracy, constant_variant: str) -> Evaluation:
@@ -146,14 +161,15 @@ def _derivative_series(p: GridPoint, acc: Accuracy, constant_variant: str) -> Ev
 
 
 def _ladder_delta(n: int, x: float, acc: Accuracy, row=None) -> Evaluation:
-    # 2/(n+1) - int_0^1 K log sinc(pi x u) du: the step kernel
-    # K = (n+1)(1-u)^n - n(1-u)^(n-1) has log moment -1/(n+1)
-    if n == 1 and x == 1.0:
-        # K = 1 - 2u is -1 at u = 1: as in _integral, with int_0^1 K log(1-u) du = 1/2
-        q = _moment(_beta_sum(1, lambda u: (1.0 - 2.0 * u) * (_log_sinc(math.pi * u) - math.log1p(-u)), 1.0), acc)
-        return q._replace(value=0.5 - q.value)
-    q = _moment(_beta_sum(n, row or _log_sinc, math.pi * x, step=True), acc)
-    return q._replace(value=2.0 / (n + 1) - q.value)
+    # 2/(n+1) - int_0^1 K log sinc(pi x u) du: the step kernel K = (n+1)(1-u)^n - n(1-u)^(n-1) has log moment
+    # -1/(n+1), and int_0^1 K u^2 du = -4/((n+1)(n+2)(n+3)) gives the w^2 term the moment 2 (pi x)^2/(3 (n+1)(n+2)(n+3))
+    a = math.pi * x
+    moment = -2.0 * a * a / (3.0 * (n + 1) * (n + 2) * (n + 3))
+    if n == 1 and x == 1.0:  # K = 1 - 2u is -1 at u = 1: as in _integral, with int_0^1 K log(1-u) du = 1/2
+        row, a, moment = _sinc_at_one, 1.0, moment - 0.5
+    q = _moment(_beta_sum(n, row or _log_sinc_less_w2, a, step=True), acc)
+    lead = 2.0 / (n + 1)
+    return _from_remainder(lead, lead, q, moment)
 
 
 def _require_climbable(n: int) -> None:

@@ -98,12 +98,28 @@ def _log_sinc(w: float) -> float:
     return math.log(math.sin(w) / w)
 
 
+def _log_sinc_less_w2(w: float) -> float:
+    # log sinc w + w^2/6, 0 <= w < pi: log sinc less its w^2 term, whose moments the routes take in closed form
+    w2 = w * w
+    if w < _REMAINDER_SERIES_CUTOFF:
+        return -w2 * w2 * (1.0 / 180.0 + w2 * (1.0 / 2835.0 + w2 / 37800.0))
+    return math.log(math.sin(w) / w) + w2 / 6.0
+
+
 def _cot_remainder(w: float) -> float:
     # w cot w - 1, 0 <= w < pi: the cotangent kernel less its value at 0
     w2 = w * w
     if w < _REMAINDER_SERIES_CUTOFF:
         return -w2 * (1.0 / 3.0 + w2 * (1.0 / 45.0 + w2 * (2.0 / 945.0 + w2 / 4725.0)))
     return w * math.cos(w) / math.sin(w) - 1.0
+
+
+def _cot_less_w2(w: float) -> float:
+    # w cot w - 1 + w^2/3, 0 <= w < pi: the cotangent remainder less its w^2 term
+    w2 = w * w
+    if w < _REMAINDER_SERIES_CUTOFF:
+        return -w2 * w2 * (1.0 / 45.0 + w2 * (2.0 / 945.0 + w2 / 4725.0))
+    return w * math.cos(w) / math.sin(w) - 1.0 + w2 / 3.0
 
 
 def _abscissa(t: float) -> tuple[float, float]:

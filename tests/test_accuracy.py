@@ -3,17 +3,23 @@
 perfbench/reference.json holds g(n, x) and x g'(n, x) from an independent
 mpmath evaluation of the integral representation. The subset here takes
 every stored x at orders 1, 2, 3, 5, 9 and every power of ten to 10^6, so
-it reaches the large-n points where the weight crowds into u ~ 1/n.
+it reaches the large-n points where the weight crowds into u ~ 1/n. The
+ladder step is gated at every step of the table up to n = 100, and the
+integral and ladder routes also against closed forms at x = 1/2 and 1 that
+come by another path (the kernel's Fourier series) in stdlib Decimal.
 """
 
 import json
+import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from logsine import GridPoint, evaluate
+import logsine.family as family
+from logsine import DEFAULT_ACCURACY, GridPoint, evaluate
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 ORDERS = {1, 2, 3, 5, 9} | {10**k for k in range(1, 7)}
@@ -69,3 +75,103 @@ CLAUSEN_ANCHORS = {
 def test_integral_route_meets_clausen_anchors(x, anchor):
     ev = evaluate(GridPoint(1, x))
     assert float(abs(Fraction(ev.value) - Fraction(anchor))) <= ev.err_estimate + 4 * EPS * abs(ev.value)
+
+
+# n = 1 with x >= 0.99, and (2, 1): the cotangent kernel's rounding near its pole at w = pi, which a later
+# form of the route is to take apart; no other subset point may miss its bound
+COT_KNOWN_MISSES = {(1, x) for x in (0.99, 0.993, 0.995, 0.997, 0.998, 0.999, 0.9993, 0.9995, 0.9998, 0.9999)}
+COT_KNOWN_MISSES.add((2, 1.0))
+
+
+def test_cot_route_error_estimate_is_a_bound_but_at_the_known_points(reference):
+    rows = errors(reference["dg"], "derivative-cot")
+    assert len(rows) == 736
+    violations = {(r[0].n, r[0].x) for r in rows if r[3] > r[2] + 4 * EPS * abs(r[1])}
+    assert violations <= COT_KNOWN_MISSES
+
+
+def test_ladder_step_error_estimate_is_a_bound(reference):
+    # every step g(n+1) - g(n), n <= 100, that the table holds both ends of, over one shared row per x
+    table = {}
+    for key, text in reference["g"].items():
+        n, x = key.split("|")
+        if int(n) <= 101 and text is not None:
+            table.setdefault(float(x), {})[int(n)] = Fraction(text)
+    steps = violations = 0
+    for x, g in table.items():
+        step = family._scale(x, DEFAULT_ACCURACY).step
+        for n in sorted(k for k in g if k <= 100 and k + 1 in g):
+            ev = step(n)
+            steps += 1
+            assert ev.err_estimate > 0.0
+            violations += float(abs(Fraction(ev.value) - (g[n + 1] - g[n]))) > ev.err_estimate + 4 * EPS * abs(ev.value)
+    assert (steps, violations) == (10582, 0)
+
+
+def _pi_decimal():
+    # the decimal module documentation's recipe, at the context's precision
+    with localcontext() as ctx:
+        ctx.prec += 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
+
+
+def _zeta_odd(s, N=200):
+    # Borwein's (2000) alternating-series algorithm with exact integer weights: error below 3 / (3 + sqrt 8)^N
+    d, acc = [], 0
+    for i in range(N + 1):
+        acc += N * math.factorial(N + i - 1) * 4**i // (math.factorial(N - i) * math.factorial(2 * i))
+        d.append(acc)
+    total = sum(Decimal((-1) ** k * (d[k] - d[N])) / Decimal(k + 1) ** s for k in range(N))
+    return -total / (d[N] * (1 - Decimal(2) ** (1 - s)))
+
+
+def closed_forms(n_max=40):
+    # g(n, x) at x = 1/2 and 1, n = 1..n_max, from the Fourier series log(2 sin(t/2)) = -sum_k cos(k t)/k
+    # integrated against the weight: with theta = 2 pi x, where e^(i theta) = +-1 and Li_{n+1}(+-1) is
+    # zeta(n+1) or -(1 - 2^-n) zeta(n+1),
+    #   g = H_n - log theta + (n!/theta^n) [(n even) (-1)^(n/2) Li_{n+1}(+-1)
+    #                                       - sum_{j<n, j = n mod 2} (-1)^((n-j)/2) theta^j zeta(n+1-j) / j!].
+    # n!/theta^n reaches 1e28 at n = 40, so the sum cancels; 130 digits keep 30 after it
+    with localcontext() as ctx:
+        ctx.prec = 130
+        zeta = {s: _zeta_odd(s) for s in range(3, n_max + 2, 2)}
+        out = {}
+        for x in (Decimal("0.5"), Decimal(1)):
+            theta = 2 * _pi_decimal() * x
+            h = Fraction(0)
+            for n in range(1, n_max + 1):
+                h += Fraction(1, n)
+                total = Decimal(0)
+                if n % 2 == 0:
+                    li = zeta[n + 1] if x == 1 else -(1 - Decimal(2) ** -n) * zeta[n + 1]
+                    total += (-1) ** (n // 2) * li
+                for j in range(n % 2, n, 2):
+                    total -= (-1) ** ((n - j) // 2) * theta**j * zeta[n + 1 - j] / math.factorial(j)
+                value = Decimal(h.numerator) / h.denominator - theta.ln() + math.factorial(n) / theta**n * total
+                out[n, float(x)] = Fraction(value)
+    return out
+
+
+@pytest.fixture(scope="module")
+def anchors():
+    return closed_forms()
+
+
+def test_closed_forms_meet_the_reference(anchors, reference):
+    # two independent paths to the same numbers: the Fourier series here, an mpmath quadrature there
+    for (n, x), value in anchors.items():
+        assert abs(value - Fraction(reference["g"][f"{n}|{x!r}"])) <= Fraction(1, 10**25)
+
+
+@pytest.mark.parametrize("method", ["integral", "ladder"])
+def test_routes_meet_the_closed_forms_within_their_bounds(anchors, method):
+    for (n, x), value in anchors.items():
+        ev = evaluate(GridPoint(n, x), method=method)
+        assert float(abs(Fraction(ev.value) - value)) <= ev.err_estimate + 4 * EPS * abs(ev.value), (n, x)

@@ -271,15 +271,15 @@ class TestTableLadderClimb:
         assert sorted(steps) == [0.25, 0.25, 0.5, 0.5]
 
     def test_kernel_sampled_once_per_scale_level_and_node(self, monkeypatch):
-        # the integral column and the climb at one x share one row of log sinc samples
+        # the integral column and the climb at one x share one row of kernel samples
         calls = []
-        kernel = family._log_sinc
+        kernel = family._log_sinc_less_w2
 
         def counting(w):
             calls.append(w)
             return kernel(w)
 
-        monkeypatch.setattr(family, "_log_sinc", counting)
+        monkeypatch.setattr(family, "_log_sinc_less_w2", counting)
         code, rows = table_rows(monkeypatch, "--n-list", "1,2,3,4,5,6,7,8,9,10", "--x-list", "0.3,0.7")
         assert code == 0
         assert len(calls) == len(set(calls))

@@ -41,7 +41,7 @@ from logsine import (
     zeta_even_direct,
 )
 from logsine.config import MAX_QUAD_REFINEMENTS
-from logsine.quadrature import _cot_remainder, _level, _level_nodes, _log_sinc
+from logsine.quadrature import _cot_less_w2, _cot_remainder, _level, _level_nodes, _log_sinc_less_w2
 
 # Apery's constant zeta(3), exact to double precision
 ZETA_3 = 1.2020569031595943
@@ -568,16 +568,60 @@ def pointwise(g):
 ORDERS = (1, 30, 100, 999, 10**4, 10**5, 10**6)
 
 
+def step_moment(n, x):
+    # the moment the ladder step adds back: int_0^1 K (pi x u)^2/6 du, as int_0^1 K u^2 du = -4/((n+1)(n+2)(n+3))
+    a = math.pi * x
+    return -2.0 * a * a / (3.0 * (n + 1) * (n + 2) * (n + 3))
+
+
+def naive_step(n, x):
+    # the ladder step from its naive scalar integrand: the step kernel against log sinc less its w^2 term, plus
+    # that term's moment
+    q = family._moment(
+        pointwise(lambda u: ((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) * _log_sinc_less_w2(math.pi * x * u)),
+        DEFAULT_ACCURACY,
+    )
+    return family._from_remainder(2.0 / (n + 1), 2.0 / (n + 1), q, step_moment(n, x))
+
+
+def beta_moment_of_u2(n):
+    # n int_0^1 (1-u)^(n-1) u^2 du and int_0^1 K u^2 du, K = (n+1)(1-u)^n - n(1-u)^(n-1), exactly, from
+    # int_0^1 (1-u)^k u^2 du = sum_j C(k, j) (-1)^j / (j + 3)
+    def u2(k):
+        return sum(Fraction((-1) ** j * math.comb(k, j), j + 3) for j in range(k + 1))
+
+    return n * u2(n - 1), (n + 1) * u2(n) - n * u2(n - 1)
+
+
+class TestSubtractedTerm:
+    # every Beta-weighted quadrature integrates its kernel less the w^2 term and adds that term's moment back
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_moments_are_exact(self, n):
+        weight_moment, step_kernel_moment = beta_moment_of_u2(n)
+        assert weight_moment == Fraction(2, (n + 1) * (n + 2))
+        assert step_kernel_moment == Fraction(-4, (n + 1) * (n + 2) * (n + 3))
+
+    @pytest.mark.parametrize("n", [2, 30, 10**3, 10**6])
+    @pytest.mark.parametrize("x", [0.3, 1.0])
+    def test_engine_integrates_the_term_to_its_closed_form(self, n, x):
+        a = math.pi * x
+        term = family._moment(family._beta_sum(n, lambda w: w * w / 6.0, a), DEFAULT_ACCURACY)
+        step = family._moment(family._beta_sum(n, lambda w: w * w / 6.0, a, step=True), DEFAULT_ACCURACY)
+        assert abs(term.value - a * a / (3.0 * (n + 1) * (n + 2))) <= 1e-15
+        assert abs(step.value - step_moment(n, x)) <= 1e-15
+
+
 class TestAveragedIntegrand:
     # the integral and cot routes and the ladder step stop each level's sum at
     # the first node where (1-u)^(n-1) has underflowed to 0.0; the quadrature
-    # must not see the difference. The naive scalar integrands are the oracles.
+    # must not see the difference. The naive scalar integrands, over the
+    # kernel each route samples at (n, x), are the oracles.
     CASES = [
         pytest.param(kernel, n, x, id=f"{kernel.__name__}-{n}-{x:g}")
-        for kernel in (_log_sinc, _cot_remainder)
+        for kernel in (_log_sinc_less_w2, _cot_less_w2, _cot_remainder)
         for n in ORDERS
         for x in (1e-4, 0.5, 0.9999, 1.0)
-        if not (kernel is _cot_remainder and (n, x) == (1, 1.0))
+        if (kernel is not _cot_less_w2 or n > 1) and (kernel is not _cot_remainder or n == 1 and x < 1.0)
     ]
 
     @pytest.mark.parametrize("kernel, n, x", CASES)
@@ -592,7 +636,7 @@ class TestAveragedIntegrand:
 
         def kernel(w):
             calls.append(w)
-            return _log_sinc(w)
+            return _log_sinc_less_w2(w)
 
         ev = family._moment(family._beta_sum(10**6, kernel, 0.5 * math.pi), DEFAULT_ACCURACY)
         assert 0 < len(calls) < ev.evaluations
@@ -602,12 +646,7 @@ class TestAveragedIntegrand:
         pytest.param(n, x, id=f"{n}-{x:g}") for n in ORDERS for x in (1e-4, 0.5, 0.9999, 1.0) if (n, x) != (1, 1.0)
     ])
     def test_ladder_step_matches_the_unskipped_integrand_bit_for_bit(self, n, x):
-        step = family._ladder_delta(n, x, DEFAULT_ACCURACY)
-        q = family._moment(
-            pointwise(lambda u: ((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) * _log_sinc(math.pi * x * u)),
-            DEFAULT_ACCURACY,
-        )
-        assert fields(step) == fields(q._replace(value=2.0 / (n + 1) - q.value))
+        assert fields(family._ladder_delta(n, x, DEFAULT_ACCURACY)) == fields(naive_step(n, x))
 
     def test_ladder_step_skips_the_kernel_where_the_weight_underflows(self, monkeypatch):
         calls = count_kernel_calls(monkeypatch)
@@ -658,9 +697,9 @@ class TestNonFiniteKernelSample:
 
     @pytest.fixture(autouse=True)
     def nan_at_one_node(self, monkeypatch):
-        kernel = family._log_sinc
+        kernel = family._log_sinc_less_w2
         target = math.pi * 0.5 * self.U
-        monkeypatch.setattr(family, "_log_sinc", lambda w: math.nan if w == target else kernel(w))
+        monkeypatch.setattr(family, "_log_sinc_less_w2", lambda w: math.nan if w == target else kernel(w))
 
     @pytest.mark.parametrize("call", [
         pytest.param(lambda: evaluate(GridPoint(100, 0.5)), id="integral"),
@@ -686,7 +725,7 @@ def fields(ev):
 
 
 class TestSharedKernelRow:
-    # callers that evaluate many orders at one x share one row of log sinc(pi x u)
+    # callers that evaluate many orders at one x share one row of log sinc(pi x u) + (pi x u)^2/6
     # samples per level; every value stays bit-identical to its single-point route
     @pytest.mark.parametrize("x", [1e-4, 0.3, 0.9999, 1.0])
     def test_shared_row_values_are_the_single_point_values(self, x):
@@ -697,12 +736,8 @@ class TestSharedKernelRow:
             p = GridPoint(n, x)
             assert fields(scale.g(n)) == fields(family._integral(p, DEFAULT_ACCURACY))
             step = scale.step(n)
-            naive = family._moment(
-                pointwise(lambda u: ((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) * _log_sinc(math.pi * x * u)),
-                DEFAULT_ACCURACY,
-            )
             if (n, x) != (1, 1.0):  # the order-1 step at x = 1 has its own kernel
-                assert fields(step) == fields(naive._replace(value=2.0 / (n + 1) - naive.value))
+                assert fields(step) == fields(naive_step(n, x))
 
     def test_row_stops_where_every_weight_has_underflowed(self, monkeypatch):
         calls = count_kernel_calls(monkeypatch)
@@ -735,12 +770,12 @@ class TestSharedKernelRow:
 
 
 def count_kernel_calls(monkeypatch):
-    # records every argument of log sinc that the routes sample
+    # records every argument of log sinc less its w^2 term that the routes sample
     calls = []
 
     def kernel(w):
         calls.append(w)
-        return _log_sinc(w)
+        return _log_sinc_less_w2(w)
 
-    monkeypatch.setattr(family, "_log_sinc", kernel)
+    monkeypatch.setattr(family, "_log_sinc_less_w2", kernel)
     return calls

@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import hypothesis.strategies as st
 import numpy as np
@@ -16,7 +18,7 @@ from logsine import (
     log_sin_kernel,
     weight,
 )
-from logsine.quadrature import _level_nodes
+from logsine.quadrature import _cot_less_w2, _level_nodes, _log_sinc_less_w2
 
 # Apery's constant zeta(3), exact to double precision
 ZETA_3 = 1.2020569031595943
@@ -97,6 +99,30 @@ def test_kernels_reject_a_non_real_abscissa(call, message):
     # a DomainError, never a stray TypeError from the range comparison
     with pytest.raises(DomainError, match=f"^u must satisfy {message}$"):
         call()
+
+
+def exact_remainders(w):
+    # log sinc w + w^2/6 and w cot w - 1 + w^2/3 at 60 digits, from the Taylor series of sin(w)/w and cos w
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d2 = Decimal(w) ** 2
+        sinc = cos = Decimal(0)
+        term_s = term_c = Decimal(1)
+        for k in range(1, 60):
+            sinc, cos = sinc + term_s, cos + term_c
+            term_s *= -d2 / ((2 * k) * (2 * k + 1))
+            term_c *= -d2 / ((2 * k - 1) * (2 * k))
+        return sinc.ln() + d2 / 6, cos / sinc - 1 + d2 / 3
+
+
+@pytest.mark.parametrize("w", [1e-6, 1e-4, 1e-3, 0.0099, 0.0101, 0.1, 1.0, 2.0, 3.1])
+def test_kernels_less_their_w2_terms(w):
+    # below w = 1e-2 the series are accurate relative to the remainder; above it the quotient's rounding
+    # leaves an absolute error of a few eps against the size of the plain kernel's terms
+    eps = sys.float_info.epsilon
+    for kernel, exact in zip((_log_sinc_less_w2, _cot_less_w2), exact_remainders(w)):
+        err = float(abs(Decimal(kernel(w)) - exact))
+        assert err <= (8 * eps * float(abs(exact)) if w < 1e-2 else 4 * eps * (1.0 + float(abs(exact)) + w * w))
 
 
 def test_kernels_take_any_real_abscissa():

@@ -194,17 +194,17 @@ class TestChecks:
         assert len(calls) == integrals
 
     def test_ladder_check_samples_each_kernel_node_once_per_scale(self, monkeypatch):
-        # the 189 integrals read one row of log sinc samples per x: 9 rows of 101 nodes
+        # the 189 integrals read one row of kernel samples per x: 9 rows of 101 nodes
         import logsine.family as family
 
         calls = []
-        kernel = family._log_sinc
+        kernel = family._log_sinc_less_w2
 
         def counting(w):
             calls.append(w)
             return kernel(w)
 
-        monkeypatch.setattr(family, "_log_sinc", counting)
+        monkeypatch.setattr(family, "_log_sinc_less_w2", counting)
         assert check_ladder().passed
         assert len(calls) == len(set(calls)) == 9 * 101
 
@@ -213,13 +213,13 @@ class TestChecks:
         import logsine.family as family
 
         calls = []
-        kernel = family._log_sinc
+        kernel = family._log_sinc_less_w2
 
         def counting(w):
             calls.append(w)
             return kernel(w)
 
-        monkeypatch.setattr(family, "_log_sinc", counting)
+        monkeypatch.setattr(family, "_log_sinc_less_w2", counting)
         assert check_path_equivalence().passed
         assert len(calls) == len(set(calls)) == 909
 
