@@ -52,10 +52,11 @@ def _leading(h: float, x: float) -> float:
 
 
 def _from_remainder(lead: float, size: float, q: Evaluation, moment: float) -> Evaluation:
-    # lead - (q - moment): q integrates a kernel less its w^2 term and moment is minus that term's exact moment. The
-    # rounding floor is c eps (size + |q| + |value|), size bounding lead's terms: lead errs by <= 1.5 eps size, moment
-    # (5 roundings) by <= 4 eps |moment| <= 4 eps (size + |q| + |value|), the subtractions by eps/2 (|q| + |moment| +
-    # |value|), so c = 6; c = 8 also covers the samples' own rounding, <= 2.3 on perfbench/reference.json (n = 1, x ~ 1)
+    # lead - (q - moment): q integrates a kernel less its w^2 term, and moment is minus that term's exact moment.
+    # Rounding floor c eps (size + |q| + |value|), where size bounds lead's terms. lead errs by <= 2.5 eps size, moment
+    # (5 roundings) by <= 4 eps |moment| <= 4 eps (size + |q| + |value|) and the subtractions by eps/2 (|q| + |moment|
+    # + |value|): c = 7. The samples' own rounding has no such bound near w = pi; c = 8 adds 1 for it, as no value or
+    # step of perfbench/reference.json needs more than c = 2.3 in all (the order-1 step near x = 1)
     value = lead - (q.value - moment)
     return q._replace(value=value, err_estimate=q.err_estimate + 8.0 * _EPS * (size + abs(q.value) + abs(value)))
 
@@ -118,7 +119,7 @@ def _integral(p: GridPoint, acc: Accuracy, row=None) -> Evaluation:
     n, x = p.n, p.x
     a = math.pi * x
     moment = a * a / (3.0 * (n + 1) * (n + 2))
-    if n == 1 and x == 1.0:  # int_0^1 log(1-u) du = -1
+    if n == 1 and x == 1.0:  # _sinc_at_one sheds log(1-u), of moment int_0^1 log(1-u) du = -1
         row, a, moment = _sinc_at_one, 1.0, moment + 1.0
     q = _moment(_beta_sum(n, row or _log_sinc_less_w2, a), acc)
     h = harmonic(n)

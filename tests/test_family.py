@@ -630,6 +630,17 @@ class TestAveragedIntegrand:
         fused = family._moment(family._beta_sum(n, kernel, a), DEFAULT_ACCURACY)
         naive = family._moment(pointwise(lambda u: n * (1.0 - u) ** (n - 1) * kernel(a * u)), DEFAULT_ACCURACY)
         assert fields(fused) == fields(naive)
+        # the route is that quadrature plus its kernel's w^2 term, whose moment is (pi x)^2/(3 (n+1)(n+2)) times
+        # 1 (log sinc), 2 (w cot w - 1) or 0 (the order-1 cot kernel, which keeps the term)
+        p, moment = GridPoint(n, x), a * a / (3.0 * (n + 1) * (n + 2))
+        if kernel is _log_sinc_less_w2 and (n, x) != (1, 1.0):  # the order-1 integral at x = 1 has its own kernel
+            h = harmonic(n)
+            lead, size = family._leading(h, x), 2.0 * h + 2.0 * (family._LOG_2PI - math.log(x))
+            expected = family._from_remainder(lead, size, naive, moment)
+            assert fields(family._integral(p, DEFAULT_ACCURACY)) == fields(expected)
+        elif kernel is not _log_sinc_less_w2:
+            expected = family._from_remainder(-2.0, 2.0, naive, 2.0 * moment if kernel is _cot_less_w2 else 0.0)
+            assert fields(family._derivative_cot(p, DEFAULT_ACCURACY)) == fields(expected)
 
     def test_kernel_not_called_where_the_weight_underflows(self):
         calls = []
