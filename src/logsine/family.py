@@ -6,8 +6,8 @@ The canonical definition is the integral representation
 
 As the weight's log moment is -H_n, it is evaluated as 2 H_n - 2 log(2 pi x) -
 n int_0^1 (1-u)^(n-1) log(sin w / w) du, w = pi x u; every route likewise
-integrates a smooth remainder and takes its endpoint terms in closed form, and
-each Beta-weighted quadrature also its kernel's w^2 term, whose moment is exact.
+integrates a smooth remainder and takes its endpoint terms in closed form; a
+Beta-weighted quadrature also drops its kernel's w^2 term and adds its exact moment.
 
 The other routes (scaled derivative via cotangent averages or via the
 even-zeta series, the ladder recursion in n, the generating function in z)
