@@ -77,7 +77,7 @@ def test_integral_route_meets_clausen_anchors(x, anchor):
     assert float(abs(Fraction(ev.value) - Fraction(anchor))) <= ev.err_estimate + 4 * EPS * abs(ev.value)
 
 
-# n = 1 with x >= 0.99, and (2, 1): the cotangent kernel's rounding near its pole at w = pi (ROADMAP item 1b);
+# n = 1 with x >= 0.99, and (2, 1): the cotangent kernel's rounding near its pole at w = pi outgrows the floor;
 # no other subset point may miss its bound
 COT_KNOWN_MISSES = {(1, x) for x in (0.99, 0.993, 0.995, 0.997, 0.998, 0.999, 0.9993, 0.9995, 0.9998, 0.9999)}
 COT_KNOWN_MISSES.add((2, 1.0))
