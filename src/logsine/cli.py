@@ -23,8 +23,6 @@ from . import family
 from .config import DEFAULT_ACCURACY, Accuracy, GridPoint
 from .errors import DomainError, NonConvergenceError
 from .family import (
-    CONSTANT_CORRECTED,
-    CONSTANT_VARIANTS,
     METHOD_INTEGRAL,
     METHOD_LADDER,
     METHODS,
@@ -193,7 +191,7 @@ def _best_estimate(p, method, run) -> Evaluation:
 def cmd_eval(ns) -> int:
     p = GridPoint(ns.n, ns.x)
     acc = _accuracy(ns)
-    ev = _best_estimate(p, ns.method, lambda: evaluate(p, method=ns.method, acc=acc, constant_variant=ns.constant))
+    ev = _best_estimate(p, ns.method, lambda: evaluate(p, method=ns.method, acc=acc))
     row = (ns.n, ns.x, ns.method, ev.value, ev.err_estimate, ev.evaluations)
     _emit_rows(ns, EVAL_HEADER, [row])
     return EXIT_OK if ev.converged else EXIT_NONCONVERGENCE
@@ -304,9 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", type=float, required=True, help="scale, 0 < x <= 1")
     p_eval.add_argument("--method", choices=METHODS, default=METHOD_INTEGRAL,
                         help="evaluation route (default: integral)")
-    p_eval.add_argument("--constant", choices=CONSTANT_VARIANTS, default=CONSTANT_CORRECTED,
-                        help="additive constant of the series derivative; the corrected "
-                             "value (-2) is the one consistent with the canonical derivative")
     p_eval.set_defaults(handler=cmd_eval)
 
     p_table = sub.add_parser("table", parents=[common], help="tabulate a grid of points")

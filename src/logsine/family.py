@@ -18,6 +18,7 @@ each one holds numerically.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cache
 from types import SimpleNamespace
 
@@ -30,7 +31,6 @@ from .sequences import harmonic, zeta_even
 CONSTANT_AS_PRINTED = "as_printed"
 CONSTANT_CORRECTED = "corrected"
 SERIES_CONSTANTS = {CONSTANT_AS_PRINTED: -1.0, CONSTANT_CORRECTED: -2.0}
-CONSTANT_VARIANTS = tuple(SERIES_CONSTANTS)
 
 METHOD_INTEGRAL = "integral"
 METHOD_LADDER = "ladder"
@@ -108,19 +108,21 @@ class _SincRow(dict):  # w -> log sinc(w) + w^2/6, taken once per w: every order
         return value
 
 
-def _sinc_at_one(u: float) -> float:
-    # log sinc(pi u) + (pi u)^2/6 - log(1-u), finite at u = 1, where the order-1 weights are nonzero: x = 1's kernel
-    return _log_sinc_less_w2(math.pi * u) - math.log1p(-u)
+def _require_float_order(n: int) -> None:
+    # the quadrature routes take n, n + 1 and n + 2 as floats
+    if n + 2 > sys.float_info.max:
+        raise DomainError("n must satisfy n + 2 <= 1.797e308 (the largest float) on the quadrature routes")
 
 
 def _integral(p: GridPoint, acc: Accuracy, row=None) -> Evaluation:
     # 2 H_n - 2 log(2 pi x) - q, q = n int_0^1 (1-u)^(n-1) log sinc(pi x u) du; the kernel's w^2 term -w^2/6 has moment
     # -(pi x)^2 / (3 (n+1)(n+2)). row, if given, is the kernel of a _SincRow at x that the caller shares across orders
     n, x = p.n, p.x
+    _require_float_order(n)
+    if n == 1 and x == 1.0:  # g(1, x) = 1 - log(2 pi x) + Cl_2(2 pi x) / (2 pi x), and Cl_2(2 pi) = 0
+        return _from_remainder(1.0 - _LOG_2PI, 1.0 + _LOG_2PI, Evaluation(0.0, 0.0, 0, True), 0.0)
     a = math.pi * x
     moment = a * a / (3.0 * (n + 1) * (n + 2))
-    if n == 1 and x == 1.0:  # _sinc_at_one sheds log(1-u), of moment int_0^1 log(1-u) du = -1
-        row, a, moment = _sinc_at_one, 1.0, moment + 1.0
     q = _moment(_beta_sum(n, row or _log_sinc_less_w2, a), acc)
     h = harmonic(n)
     return _from_remainder(_leading(h, x), 2.0 * h + 2.0 * (_LOG_2PI - math.log(x)), q, moment)
@@ -130,6 +132,7 @@ def _derivative_cot(p: GridPoint, acc: Accuracy) -> Evaluation:
     # -2 - n int_0^1 (1-u)^(n-1) (w cot w - 1) du: the kernel is 1 at u = 0. From n = 2 the quadrature takes it
     # less its w^2 term -w^2/3, of moment -2 (pi x)^2 / (3 (n+1)(n+2)); n = 1's flat weight would gain no level
     n, x = p.n, p.x
+    _require_float_order(n)
     if n == 1 and x == 1.0:
         raise DomainError("the derivative diverges like log(1-x) at n = 1, x = 1")
     a = math.pi * x
@@ -137,12 +140,9 @@ def _derivative_cot(p: GridPoint, acc: Accuracy) -> Evaluation:
     return _from_remainder(-2.0, 2.0, _moment(_beta_sum(n, kernel, a), acc), moment)
 
 
-def _derivative_series(p: GridPoint, acc: Accuracy, constant_variant: str) -> Evaluation:
-    if constant_variant not in CONSTANT_VARIANTS:
-        raise DomainError(f"constant_variant must be one of {CONSTANT_VARIANTS}")
+def _derivative_series(p: GridPoint, acc: Accuracy) -> Evaluation:
     if p.x >= 1.0:
         raise DomainError("x must satisfy x < 1 on the series route")
-    constant = SERIES_CONSTANTS[constant_variant]
     n = p.n
     x2 = p.x * p.x
     xpow = 1.0
@@ -158,16 +158,17 @@ def _derivative_series(p: GridPoint, acc: Accuracy, constant_variant: str) -> Ev
     # terms decay at least geometrically at rate x^2, so the discarded tail
     # is below |last| * x^2 / (1 - x^2)
     tail = abs(terms[-1]) * x2 / (1.0 - x2)
-    return Evaluation(math.fsum(terms) + constant, tail, len(terms), True)
+    return Evaluation(math.fsum(terms) + SERIES_CONSTANTS[CONSTANT_CORRECTED], tail, len(terms), True)
 
 
 def _ladder_delta(n: int, x: float, acc: Accuracy, row=None) -> Evaluation:
     # 2/(n+1) - int_0^1 K log sinc(pi x u) du: the step kernel K = (n+1)(1-u)^n - n(1-u)^(n-1) has log moment
     # -1/(n+1), and int_0^1 K u^2 du = -4/((n+1)(n+2)(n+3)) gives the w^2 term the moment 2 (pi x)^2/(3 (n+1)(n+2)(n+3))
+    _require_float_order(n)
+    if n == 1 and x == 1.0:  # g(2, 1) - g(1, 1): the Clausen terms vanish at x = 1, and H_2 - H_1 = 1/2
+        return _from_remainder(0.5, 0.5, Evaluation(0.0, 0.0, 0, True), 0.0)
     a = math.pi * x
     moment = -2.0 * a * a / (3.0 * (n + 1) * (n + 2) * (n + 3))
-    if n == 1 and x == 1.0:  # K = 1 - 2u is -1 at u = 1: as in _integral, with int_0^1 K log(1-u) du = 1/2
-        row, a, moment = _sinc_at_one, 1.0, moment - 0.5
     q = _moment(_beta_sum(n, row or _log_sinc_less_w2, a, step=True), acc)
     lead = 2.0 / (n + 1)
     return _from_remainder(lead, lead, q, moment)
@@ -210,7 +211,6 @@ def evaluate(
     p: GridPoint,
     method: str = METHOD_INTEGRAL,
     acc: Accuracy = DEFAULT_ACCURACY,
-    constant_variant: str = CONSTANT_CORRECTED,
 ) -> Evaluation:
     """Evaluate the family (or its scaled derivative) by the named route.
 
@@ -224,7 +224,7 @@ def evaluate(
     elif method == METHOD_DERIVATIVE_COT:
         ev = _derivative_cot(p, acc)
     elif method == METHOD_DERIVATIVE_SERIES:
-        ev = _derivative_series(p, acc, constant_variant)
+        ev = _derivative_series(p, acc)
     else:
         raise DomainError(f"method must be one of {METHODS}")
     return _checked(ev)
@@ -243,23 +243,18 @@ def eval_derivative_cot(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float
     return evaluate(p, METHOD_DERIVATIVE_COT, acc).value
 
 
-def eval_derivative_series(
-    p: GridPoint,
-    acc: Accuracy = DEFAULT_ACCURACY,
-    constant_variant: str = CONSTANT_CORRECTED,
-) -> float:
+def eval_derivative_series(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """x * d/dx of the family at p, via the even-zeta series:
 
-        2 n! sum_{m>=1} (2m)!/(2m+n)! zeta(2m) x^(2m) + C
+        2 n! sum_{m>=1} (2m)!/(2m+n)! zeta(2m) x^(2m) - 2
 
-    with C = -1 ("as_printed") or C = -2 ("corrected"). The two printed
-    constants are mutually inconsistent; substituting the cotangent
-    expansion into the integral route yields -2, and the verification
-    harness confirms which variant tracks the canonical derivative. The
-    factorial ratio n! (2m)!/(2m+n)! is updated from one m to the next by
+    The paper prints two mutually inconsistent constants, -1 and -2;
+    substituting the cotangent expansion into the integral route yields
+    -2, and the series_constant check confirms it. The factorial ratio
+    n! (2m)!/(2m+n)! is updated from one m to the next by
     (2m-1)(2m)/((2m-1+n)(2m+n)), never through explicit factorials.
     """
-    return evaluate(p, METHOD_DERIVATIVE_SERIES, acc, constant_variant).value
+    return evaluate(p, METHOD_DERIVATIVE_SERIES, acc).value
 
 
 def ladder_delta(n: int, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -291,29 +286,31 @@ def genfunc_closed(q: GenfuncPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     return _checked(quad._replace(value=closed - quad.value)).value
 
 
-# orders past N whose peak |g| bounds the generating-function tail
-_TAIL_PROBE = 20
-
-
-def _genfunc_orders(x: float, count: int, acc: Accuracy) -> list[float]:
+def _genfunc_orders(x: float, count: int, acc: Accuracy) -> list[Evaluation]:
     # g(1, x), ..., g(count, x) over one kernel row: the partial sum and the
     # tail bound at one x read the same values whatever z they are taken at
     g = _scale(x, acc).g
-    return [g(n).value for n in range(1, count + 1)]
+    return [g(n) for n in range(1, count + 1)]
 
 
-def _partial_sum(values: list[float], z: float) -> float:
+def _partial_sum(orders: list[Evaluation], z: float) -> float:
     zpow = 1.0
     terms = []
-    for g in values:
+    for g in orders:
         zpow *= z
-        terms.append(g * zpow)
+        terms.append(g.value * zpow)
     return math.fsum(terms)
 
 
-def _tail_bound(values: list[float], z: float, N: int) -> float:
-    peak = max(abs(g) for g in values)
-    return peak * abs(z) ** (N + 1) / (1.0 - abs(z))
+def _tail_bound(g1: Evaluation, x: float, z: float, N: int) -> float:
+    # sum_{n>N} |g(n, x)| t^n, t = |z|, from g1 = g(1, x). g(n, x) = L_n + r_n, L_n = 2 H_n - 2 log(2 pi x), where r_n,
+    # the Beta(1, n) moment of -log sinc(pi x u) >= 0, falls as n rises (the kernel rises in u, the weight falls
+    # stochastically in n): 0 <= r_n <= r_1 = g1 - L_1 (+ g1's estimate). As 0 <= H_(N+1+k) - H_(N+1) <= k/(N+2), the
+    # tail is at most t^(N+1) [(|L_(N+1)| + r_1)/(1-t) + 2t/((N+2)(1-t)^2)]. Its ~20 roundings err by a few eps of terms
+    # at most 45 times |L_(N+1)| + r_1 (x > 0.7 where L_(N+1) vanishes, and r_1 >= (pi x)^2/18): the 1e-12 covers them
+    t = abs(z)
+    head = abs(_leading(harmonic(N + 1), x)) + g1.value - _leading(1.0, x) + g1.err_estimate
+    return (1.0 + 1e-12) * t ** (N + 1) * (head / (1.0 - t) + 2.0 * t / ((N + 2) * (1.0 - t) ** 2))
 
 
 def genfunc_partial(x: float, z: float, N: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -324,14 +321,10 @@ def genfunc_partial(x: float, z: float, N: int, acc: Accuracy = DEFAULT_ACCURACY
 
 
 def genfunc_tail_bound(x: float, z: float, N: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """Empirical bound on the generating-function tail beyond N:
-
-        max_{n <= N+20} |g(n, x)| * |z|^(N+1) / (1 - |z|)
-
-    The peak is probed empirically over a fixed 20 orders past N rather
-    than assumed from any claimed decay in n (the family in fact grows like
-    2 log n at fixed x).
+    """Proven bound on the generating-function tail sum_{n>N} |g(n, x)| |z|^n
+    from g(1, x) alone, as |g(n, x)| <= |2 H_n - 2 log(2 pi x)| + g(1, x) -
+    2 + 2 log(2 pi x) at every n (the family grows like 2 log n).
     """
     _require_int("N", N, 1)
-    GenfuncPoint(x, z)
-    return _tail_bound(_genfunc_orders(x, N + _TAIL_PROBE, acc), z, N)
+    point = GenfuncPoint(x, z)
+    return _tail_bound(_genfunc_orders(point.x, 1, acc)[0], point.x, point.z, N)

@@ -5,8 +5,9 @@ mpmath evaluation of the integral representation. The subset here takes
 every stored x at orders 1, 2, 3, 5, 9 and every power of ten to 10^6, so
 it reaches the large-n points where the weight crowds into u ~ 1/n. The
 ladder step is gated at every step of the table up to n = 100, and the
-integral and ladder routes also against closed forms at x = 1/2 and 1 that
-come by another path (the kernel's Fourier series) in stdlib Decimal.
+integral and ladder routes, and the derivative routes through the family's
+differential relation, also against closed forms at x = 1/2 and 1 that come
+by another path (the kernel's Fourier series) in stdlib Decimal.
 """
 
 import json
@@ -173,5 +174,32 @@ def test_closed_forms_meet_the_reference(anchors, reference):
 @pytest.mark.parametrize("method", ["integral", "ladder"])
 def test_routes_meet_the_closed_forms_within_their_bounds(anchors, method):
     for (n, x), value in anchors.items():
+        ev = evaluate(GridPoint(n, x), method=method)
+        assert float(abs(Fraction(ev.value) - value)) <= ev.err_estimate + 4 * EPS * abs(ev.value), (n, x)
+
+
+def derivative_closed_forms(anchors):
+    # x g'(n, x) = n [g(n-1, x) - g(n, x)] for n >= 2 (the family's differential relation), and
+    # x g'(1, 1/2) = -1 - log 2, from int_0^(pi/2) t cot t dt = (pi/2) log 2; x g'(1, 1) diverges
+    out = {(n, x): n * (anchors[n - 1, x] - anchors[n, x]) for (n, x) in anchors if n >= 2}
+    with localcontext() as ctx:
+        ctx.prec = 40
+        out[1, 0.5] = Fraction(-1 - Decimal(2).ln())
+    return out
+
+
+def test_derivative_closed_forms_meet_the_reference(anchors, reference):
+    table = reference["dg"]
+    stored = {p: v for p, v in derivative_closed_forms(anchors).items() if table.get("{}|{!r}".format(*p)) is not None}
+    assert len(stored) == 37
+    for (n, x), value in stored.items():
+        assert abs(value - Fraction(table[f"{n}|{x!r}"])) <= Fraction(1, 10**25)
+
+
+@pytest.mark.parametrize("method, xs", [("derivative-cot", (0.5, 1.0)), ("derivative-series", (0.5,))])
+def test_derivative_routes_meet_the_closed_forms_within_their_bounds(anchors, method, xs):
+    rows = {p: v for p, v in derivative_closed_forms(anchors).items() if p[1] in xs}
+    assert len(rows) == 40 * len(xs) - (1.0 in xs)
+    for (n, x), value in rows.items():
         ev = evaluate(GridPoint(n, x), method=method)
         assert float(abs(Fraction(ev.value) - value)) <= ev.err_estimate + 4 * EPS * abs(ev.value), (n, x)

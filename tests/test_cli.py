@@ -49,16 +49,32 @@ class TestEval:
         assert float(parse_plain(out.splitlines()[0])["value"]) == pytest.approx(G_2_HALF, abs=1e-9)
 
     def test_series_constants(self, capsys):
+        # the series route adds the corrected constant -2: x g'(1, 1/2) = -1 - log 2
         _, out_corrected, _ = run(
             capsys, "eval", "--n", "1", "--x", "0.5", "--method", "derivative-series"
         )
-        _, out_printed, _ = run(
-            capsys, "eval", "--n", "1", "--x", "0.5", "--method", "derivative-series",
-            "--constant", "as_printed",
-        )
         corrected = float(parse_plain(out_corrected.splitlines()[0])["value"])
-        printed = float(parse_plain(out_printed.splitlines()[0])["value"])
-        assert printed - corrected == pytest.approx(1.0, abs=1e-12)
+        assert corrected == pytest.approx(-1.0 - math.log(2.0), abs=1e-12)
+
+    def test_constant_flag_is_gone_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["eval", "--n", "1", "--x", "0.5", "--method", "derivative-series", "--constant", "corrected"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --constant corrected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["integral", "derivative-cot", "ladder"])
+    def test_order_past_the_largest_float_exit_2(self, capsys, method):
+        # the quadrature routes take n as a float; the ladder refuses it at its order cap first
+        code, out, err = run(capsys, "eval", "--n", str(10**400), "--x", "0.5", "--method", method)
+        assert code == 2
+        assert out == ""
+        assert "n must satisfy" in err and "Traceback" not in err
+
+    def test_order_past_the_largest_float_on_the_series_route(self, capsys):
+        # the series route takes any order: every term has vanished, so it prints the bare constant
+        code, out, _ = run(capsys, "eval", "--n", str(10**400), "--x", "0.5", "--method", "derivative-series")
+        assert code == 0
+        assert float(parse_plain(out.splitlines()[0])["value"]) == -2.0
 
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "--n", "1", "--x", "0")
@@ -318,18 +334,19 @@ class TestTableLadderClimb:
     def test_non_converged_rungs_warn_in_row_order(self, capsys, monkeypatch):
         # the warnings a row-by-row evaluation of both routes gives, in order;
         # three refinements at 1e-16 starve some quadratures and not others
+        # (none at x = 0.5, all but the order-3 integral at x = 0.99)
         acc = Accuracy(quad_rel_tol=1e-16, max_quad_refinements=3)
         monkeypatch.setattr(cli, "DEFAULT_ACCURACY", acc)
         expected = []
         for n in (3, 1, 2):
-            for x in (0.5, 1.0):
+            for x in (0.5, 0.99):
                 for method in ("integral", "ladder"):
                     try:
                         evaluate(GridPoint(n, x), method=method, acc=acc)
                     except NonConvergenceError:
                         expected.append(f"warning: n={n} x={cli.fmt(x)} {method}:")
         assert any(w.endswith("ladder:") for w in expected)
-        code, _, err = run(capsys, "table", "--n-list", "3,1,2", "--x-list", "0.5,1")
+        code, _, err = run(capsys, "table", "--n-list", "3,1,2", "--x-list", "0.5,0.99")
         assert code == 3
         assert warning_prefixes(err) == expected
 

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -184,6 +185,37 @@ class TestIntegralRoute:
         assert ev.evaluations >= 1
         assert ev.value == eval_integral(GridPoint(2, 0.7))
 
+    def test_order_one_at_x_one_is_a_closed_form(self, monkeypatch):
+        # g(1, 1) = 1 - log(2 pi), as Cl_2(2 pi) = 0, and the step to g(2, 1) is H_2 - H_1 = 1/2: no quadrature,
+        # and each a positive rounding estimate
+        calls = count_quadratures(monkeypatch)
+        g, step = family._integral(GridPoint(1, 1.0), DEFAULT_ACCURACY), family._ladder_delta(1, 1.0, DEFAULT_ACCURACY)
+        assert (g.value, g.evaluations, g.converged) == (1.0 - math.log(2.0 * math.pi), 0, True)
+        assert (step.value, step.evaluations, step.converged) == (0.5, 0, True)
+        assert g.err_estimate > 0.0 and step.err_estimate > 0.0
+        assert evaluate(GridPoint(1, 1.0)) == g
+        assert calls == []
+
+
+class TestOrdersPastTheLargestFloat:
+    # the quadrature routes take n, n + 1 and n + 2 as floats: a larger order is a domain error
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: evaluate(GridPoint(10**400, 0.5)), id="integral"),
+        pytest.param(lambda: evaluate(GridPoint(10**400, 0.5), method="derivative-cot"), id="derivative-cot"),
+        pytest.param(lambda: ladder_delta(10**400, 0.5), id="ladder_delta"),
+        pytest.param(lambda: ladder_delta(int(sys.float_info.max) - 1, 0.5), id="ladder_delta-past-the-edge"),
+    ])
+    def test_domain_error(self, call):
+        with pytest.raises(DomainError, match="largest float"):
+            call()
+
+    def test_orders_up_to_the_edge_evaluate(self):
+        assert evaluate(GridPoint(2**1023, 0.5)).value == 1417.0441029837523
+        assert ladder_delta(int(sys.float_info.max) - 2, 0.5) > 0.0
+
+    def test_series_route_takes_any_order(self):
+        assert evaluate(GridPoint(10**400, 0.5), method="derivative-series").value == -2.0
+
 
 # Too few refinements to converge: the engine always performs at least
 # three, so every quadrature runs out of budget after 51 samples, yet the
@@ -309,35 +341,25 @@ class TestDerivativeRoutes:
 
     def test_series_corrected_matches_cot(self):
         p = GridPoint(1, 0.5)
-        series = eval_derivative_series(p, constant_variant="corrected")
+        series = eval_derivative_series(p)
         assert series == pytest.approx(eval_derivative_cot(p), abs=1e-9)
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
     def test_series_corrected_matches_cot_at_large_order(self, x):
         # the factorial ratio is updated once per term, whatever n is
         p = GridPoint(10**5, x)
-        series = eval_derivative_series(p, constant_variant="corrected")
+        series = eval_derivative_series(p)
         assert series == pytest.approx(eval_derivative_cot(p), abs=1e-9)
-
-    def test_series_as_printed_differs_by_one(self):
-        p = GridPoint(1, 0.5)
-        printed = eval_derivative_series(p, constant_variant="as_printed")
-        assert printed - eval_derivative_cot(p) == pytest.approx(1.0, abs=1e-9)
 
     def test_series_returns_bare_constant_when_terms_vanish(self):
         # at x = 1e-9 every term is far below the tail tolerance, so the
         # sum is empty up to one negligible rounding-level term
         p = GridPoint(1, 1e-9)
-        assert eval_derivative_series(p, constant_variant="corrected") == -2.0
-        assert eval_derivative_series(p, constant_variant="as_printed") == -1.0
+        assert eval_derivative_series(p) == -2.0
 
     def test_series_rejects_x_at_radius(self):
         with pytest.raises(DomainError, match="series"):
             eval_derivative_series(GridPoint(1, 1.0))
-
-    def test_series_rejects_unknown_variant(self):
-        with pytest.raises(DomainError):
-            eval_derivative_series(GridPoint(1, 0.5), constant_variant="fixed")
 
     def test_series_honors_term_cap(self):
         acc = Accuracy(max_series_terms=5)
@@ -373,8 +395,8 @@ class TestLadderRoute:
         assert eval_via_ladder(GridPoint(2, 0.5)) == pytest.approx(G_2_HALF, abs=1e-9)
 
     def test_first_step_at_x_one(self):
-        # K = 1 - 2u is nonzero at u = 1, where the step sheds log(1-u)
-        assert ladder_delta(1, 1.0) == pytest.approx(0.5, abs=2e-15)
+        # g(2, 1) - g(1, 1) = H_2 - H_1: the Clausen terms vanish at x = 1
+        assert ladder_delta(1, 1.0) == 0.5
         assert eval_via_ladder(GridPoint(2, 1.0)) == pytest.approx(G_2_ONE, abs=4e-15)
 
     @pytest.mark.parametrize("acc", [Accuracy(), STARVED], ids=["default", "starved"])
@@ -414,6 +436,20 @@ class TestGenfunc:
         partial = genfunc_partial(x, z, 60)
         tail = genfunc_tail_bound(x, z, 60)
         assert abs(closed - partial) <= 1e-8 + tail
+
+    @pytest.mark.parametrize("x", [1e-4, 0.5, 1.0])
+    def test_proven_tail_bounds_the_direct_sum(self, x):
+        # sum_{n=N+1}^{N+400} |g(n, x)| |z|^n over one row per x; the terms past N + 400 are below 1e-17 of it
+        g = family._scale(x, DEFAULT_ACCURACY).g
+        for N in (1, 10, 60):
+            for z in (-0.9, 0.5, 0.9):
+                direct = math.fsum(abs(g(n).value) * abs(z) ** n for n in range(N + 1, N + 401))
+                assert direct <= genfunc_tail_bound(x, z, N), (N, z)
+
+    def test_tail_bound_takes_one_quadrature(self, monkeypatch):
+        calls = count_quadratures(monkeypatch)
+        genfunc_tail_bound(0.5, 0.5, 60)
+        assert len(calls) == 1
 
     def test_partial_single_term(self):
         expected = 0.5 * eval_integral(GridPoint(1, 0.5))
@@ -633,7 +669,7 @@ class TestAveragedIntegrand:
         # the route is that quadrature plus its kernel's w^2 term, whose moment is (pi x)^2/(3 (n+1)(n+2)) times
         # 1 (log sinc), 2 (w cot w - 1) or 0 (the order-1 cot kernel, which keeps the term)
         p, moment = GridPoint(n, x), a * a / (3.0 * (n + 1) * (n + 2))
-        if kernel is _log_sinc_less_w2 and (n, x) != (1, 1.0):  # the order-1 integral at x = 1 has its own kernel
+        if kernel is _log_sinc_less_w2 and (n, x) != (1, 1.0):  # the order-1 integral at x = 1 is a closed form
             h = harmonic(n)
             lead, size = family._leading(h, x), 2.0 * h + 2.0 * (family._LOG_2PI - math.log(x))
             expected = family._from_remainder(lead, size, naive, moment)
@@ -652,7 +688,7 @@ class TestAveragedIntegrand:
         ev = family._moment(family._beta_sum(10**6, kernel, 0.5 * math.pi), DEFAULT_ACCURACY)
         assert 0 < len(calls) < ev.evaluations
 
-    # the order-1 step at x = 1 has its own kernel, free of the u = 1 singularity
+    # the order-1 step at x = 1 is a closed form
     @pytest.mark.parametrize("n, x", [
         pytest.param(n, x, id=f"{n}-{x:g}") for n in ORDERS for x in (1e-4, 0.5, 0.9999, 1.0) if (n, x) != (1, 1.0)
     ])
@@ -747,7 +783,7 @@ class TestSharedKernelRow:
             p = GridPoint(n, x)
             assert fields(scale.g(n)) == fields(family._integral(p, DEFAULT_ACCURACY))
             step = scale.step(n)
-            if (n, x) != (1, 1.0):  # the order-1 step at x = 1 has its own kernel
+            if (n, x) != (1, 1.0):  # the order-1 step at x = 1 is a closed form
                 assert fields(step) == fields(naive_step(n, x))
 
     def test_row_stops_where_every_weight_has_underflowed(self, monkeypatch):
@@ -763,7 +799,7 @@ class TestSharedKernelRow:
         singles = [evaluate(GridPoint(n, 0.5)) for n in range(1, 81)]
         assert len(calls) == len(set(calls))
         assert 0 < len(calls) <= max(ev.evaluations for ev in singles) < sum(ev.evaluations for ev in singles) / 2
-        assert values == [ev.value for ev in singles]
+        assert values == singles
 
     def test_climb_samples_each_node_once(self, monkeypatch):
         # the order-1 integral and 11 steps, all over one row

@@ -131,19 +131,19 @@ class TestChecks:
         calls = []
         series = family._derivative_series
 
-        def counting(p, acc, variant):
-            calls.append(variant)
-            return series(p, acc, variant)
+        def counting(p, acc):
+            calls.append(p)
+            return series(p, acc)
 
         monkeypatch.setattr(verify, "_derivative_series", counting)
         report = check_series_constant()
-        assert calls == [family.CONSTANT_CORRECTED] * 18
-        # the report of two series per point, one for each printed constant
+        assert calls == list(verify.DEFAULT_DERIVATIVE_GRID)
+        # the route adds the corrected constant -2; the printed -1 shifts its gap to the cot route by 1
         residuals = {"as_printed": [], "corrected": []}
         for p in verify.DEFAULT_DERIVATIVE_GRID:
-            reference = family.eval_derivative_cot(p)
-            for variant, bucket in residuals.items():
-                bucket.append(abs(series(p, Accuracy(), variant).value - reference))
+            gap = series(p, Accuracy()).value - family.eval_derivative_cot(p)
+            residuals["as_printed"].append(abs(gap + 1.0))
+            residuals["corrected"].append(abs(gap))
         assert report.max_abs_residual == max(residuals["corrected"])
         assert report.passed
         assert report.notes == (
@@ -170,8 +170,8 @@ class TestChecks:
 
         monkeypatch.setattr(family, "integrate_de", counting)
         check_genfunc()
-        # 2 xs * 80 orders (partial sums to 60, tail probe to 80) + 8 closed forms
-        assert len(calls) == 168
+        # 2 xs * 60 orders (the partial sums; the tail bound reads g(1, x)) + 8 closed forms
+        assert len(calls) == 128
 
     @pytest.mark.parametrize("check,integrals", [
         # 11 orders x 9 scales of g, plus one ladder step per point
