@@ -48,7 +48,6 @@ from .verify import (
     check_derivative,
     check_genfunc,
     check_ladder,
-    check_path_equivalence,
     check_series_constant,
 )
 
@@ -86,7 +85,6 @@ __all__ = [
     "check_derivative",
     "check_genfunc",
     "check_ladder",
-    "check_path_equivalence",
     "check_series_constant",
     "cot_kernel",
     "eval_derivative_cot",

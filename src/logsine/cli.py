@@ -35,7 +35,6 @@ from .verify import (
     ID_DERIVATIVE,
     ID_GENFUNC,
     ID_LADDER,
-    ID_PATH,
     ID_SERIES_CONSTANT,
     IDENTITY_IDS,
     audit_large_n,
@@ -45,7 +44,6 @@ from .verify import (
     check_derivative,
     check_genfunc,
     check_ladder,
-    check_path_equivalence,
     check_series_constant,
 )
 
@@ -66,14 +64,10 @@ REPORT_HEADER = ("identity_id", "points", "max_abs_residual", "tolerance", "pass
 VERIFY_RUNNERS = {
     ID_DERIVATIVE: lambda acc: check_derivative(acc=acc),
     ID_LADDER: lambda acc: check_ladder(acc=acc),
-    ID_PATH: lambda acc: check_path_equivalence(acc=acc),
     ID_SERIES_CONSTANT: lambda acc: check_series_constant(acc=acc),
     ID_GENFUNC: lambda acc: check_genfunc(acc=acc),
     ID_BERNOULLI_ZETA: lambda acc: check_bernoulli_zeta(acc=acc),
 }
-# path_equivalence only re-sums the steps that ladder_vs_diff checks one by
-# one, so the default run leaves it out; `--only` selects it.
-DEFAULT_VERIFY_SUITE = tuple(i for i in IDENTITY_IDS if i != ID_PATH)
 
 # Audits runnable by `audit`, in emission order, with the columns each
 # prints after "audit". A column names an attribute of the audit's rows,
@@ -160,8 +154,6 @@ def _accuracy(ns):
         overrides["quad_rel_tol"] = ns.quad_tol
     if ns.series_tol is not None:
         overrides["series_abs_tol"] = ns.series_tol
-    if ns.max_terms is not None:
-        overrides["max_series_terms"] = ns.max_terms
     # rebuilt through Accuracy(), which validates: _replace would skip that
     return Accuracy(**{**DEFAULT_ACCURACY._asdict(), **overrides}) if overrides else DEFAULT_ACCURACY
 
@@ -220,7 +212,7 @@ def cmd_table(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    suite = _split_selection(ns.only, IDENTITY_IDS, "identity id") if ns.only else DEFAULT_VERIFY_SUITE
+    suite = _split_selection(ns.only, IDENTITY_IDS, "identity id") if ns.only else IDENTITY_IDS
     acc = _accuracy(ns)
     reports = [VERIFY_RUNNERS[identity_id](acc) for identity_id in suite]
     rows = [
@@ -288,8 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="relative quadrature tolerance (default 1e-12)")
     common.add_argument("--series-tol", type=float, default=None, metavar="REAL",
                         help="absolute series tail tolerance (default 1e-15)")
-    common.add_argument("--max-terms", type=int, default=None, metavar="INT",
-                        help="series term cap (default 200)")
 
     parser = argparse.ArgumentParser(
         prog="logsine",

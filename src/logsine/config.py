@@ -20,13 +20,14 @@ from .errors import DomainError
 MAX_QUAD_REFINEMENTS = 16
 
 
-def _require_int(name: str, value, minimum: int) -> None:
+def _require_int(name: str, value, minimum: int, maximum: float = math.inf) -> None:
     # bool is an Integral, but True as an order or a count is a caller's slip;
     # a plain int skips the ABC test, whose __instancecheck__ costs ~1 us
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise DomainError(f"{name} must be an integer")
-    if value < minimum:
-        raise DomainError(f"{name} must satisfy {name} >= {minimum}")
+    if not minimum <= value <= maximum:
+        bound = f">= {minimum}" if value < minimum else f"<= {maximum}"
+        raise DomainError(f"{name} must satisfy {name} {bound}")
 
 
 def _is_real(value) -> bool:
@@ -93,12 +94,12 @@ def _as_point(cls, entry):
     try:
         a, b = entry
         fields = (a if cls is GridPoint else float(a), float(b))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # float() of an int past the largest float overflows
         raise DomainError(message) from None
     return cls(*fields)
 
 
-class Accuracy(namedtuple("Accuracy", "quad_rel_tol series_abs_tol max_series_terms max_quad_refinements")):
+class Accuracy(namedtuple("Accuracy", "quad_rel_tol series_abs_tol max_quad_refinements")):
     """Tolerances and truncation budgets governing quadrature and series."""
 
     __slots__ = ()
@@ -107,16 +108,17 @@ class Accuracy(namedtuple("Accuracy", "quad_rel_tol series_abs_tol max_series_te
         cls,
         quad_rel_tol: float = 1e-12,
         series_abs_tol: float = 1e-15,
-        max_series_terms: int = 200,
         max_quad_refinements: int = 12,
     ):
         _require_tolerance("quad_rel_tol", quad_rel_tol)
         _require_tolerance("series_abs_tol", series_abs_tol)
-        _require_int("max_series_terms", max_series_terms, 1)
-        _require_int("max_quad_refinements", max_quad_refinements, 1)
-        if max_quad_refinements > MAX_QUAD_REFINEMENTS:
-            raise DomainError(f"max_quad_refinements must satisfy max_quad_refinements <= {MAX_QUAD_REFINEMENTS}")
-        return super().__new__(cls, quad_rel_tol, series_abs_tol, max_series_terms, max_quad_refinements)
+        _require_int("max_quad_refinements", max_quad_refinements, 1, MAX_QUAD_REFINEMENTS)
+        return super().__new__(cls, quad_rel_tol, series_abs_tol, max_quad_refinements)
 
 
 DEFAULT_ACCURACY = Accuracy()
+
+
+def _require_accuracy(acc) -> None:
+    if not isinstance(acc, Accuracy):
+        raise DomainError(f"acc must be an Accuracy record, got {acc!r}")

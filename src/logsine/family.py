@@ -22,7 +22,7 @@ import sys
 from functools import cache
 from types import SimpleNamespace
 
-from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_point, _require_int
+from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_point, _require_accuracy, _require_int
 from .errors import DomainError, NonConvergenceError
 from .quadrature import Evaluation, _checked, from_samples, integrate_de
 from .quadrature import _cot_less_w2, _cot_remainder, _log_sinc, _log_sinc_less_w2
@@ -140,25 +140,44 @@ def _derivative_cot(p: GridPoint, acc: Accuracy) -> Evaluation:
     return _from_remainder(-2.0, 2.0, _moment(_beta_sum(n, kernel, a), acc), moment)
 
 
+def _ratio_sum(a: float, j: int, c: int) -> float:
+    # 1 + t_1 + t_2 + ..., each term the last times a j/(j+c) for j, j+1, ..., until a term no longer moves the sum.
+    # j/(j+c) is an int/int quotient, correctly rounded at any order (10^400 too)
+    total, term = 1.0, a * (j / (j + c))
+    while total + term != total:
+        total += term
+        j += 1
+        term *= a * (j / (j + c))
+    return total
+
+
 def _derivative_series(p: GridPoint, acc: Accuracy) -> Evaluation:
-    if p.x >= 1.0:
+    # -2 + 2 sum_m r_m zeta(2m) x^(2m), r_m = n! (2m)!/(2m+n)!. zeta(2m)'s 1s are the sine product's k = 1 factor:
+    # 2 sum_m r_m x^(2m) = P + M - 2, P = n K(x), M = n K(-x), K(a) = int_0^1 (1-u)^(n-1)/(1+au) du. So the value
+    # is -4 + P + M + R, R = 2 sum_m r_m (zeta(2m) - 1) x^(2m), and every term of P, M and R is positive
+    n, x = p.n, p.x
+    if x >= 1.0:
         raise DomainError("x must satisfy x < 1 on the series route")
-    n = p.n
-    x2 = p.x * p.x
-    xpow = 1.0
-    ratio = 1.0  # n! (2m)! / (2m+n)!, which is 1 at m = 0
-    terms: list[float] = []
-    for m in range(1, acc.max_series_terms + 1):
-        xpow *= x2
-        ratio *= (2 * m - 1) * (2 * m) / ((2 * m - 1 + n) * (2 * m + n))
-        term = 2.0 * ratio * zeta_even(m) * xpow
-        terms.append(term)
-        if abs(term) < acc.series_abs_tol:
-            break
-    # terms decay at least geometrically at rate x^2, so the discarded tail
-    # is below |last| * x^2 / (1 - x^2)
-    tail = abs(terms[-1]) * x2 / (1.0 - x2)
-    return Evaluation(math.fsum(terms) + SERIES_CONSTANTS[CONSTANT_CORRECTED], tail, len(terms), True)
+    P = _ratio_sum(x / (1.0 + x), n, 1) / (1.0 + x)  # n/(1+x) sum_j b^j/(n+j), b = x/(1+x) <= 1/2
+    if n >= 64 or x < 0.75:  # M = sum_j x^j j! n!/(n+j)!, term ratio x (j+1)/(n+j+1)
+        M = _ratio_sum(x, 1, n)
+    else:  # K_m = (1/m - (1-x) K_(m-1))/x from K_0 = -log(1-x)/x: its multiplier (1-x)/x is at most 1/3
+        k = -math.log1p(-x) / x
+        for m in range(1, n):
+            k = (1.0 / m - (1.0 - x) * k) / x
+        M = n * k
+    x2, coef, terms, m = x * x, 2.0, [], 0  # coef: 2 r_m x^(2m)
+    while not terms or terms[-1] >= acc.series_abs_tol:
+        m += 1
+        coef *= x2 * ((2 * m - 1) * (2 * m) / ((2 * m - 1 + n) * (2 * m + n)))
+        terms.append(coef * (zeta_even(m) - 1.0))  # exact, as zeta_even(m) is in [1, 2] (Sterbenz)
+    # (zeta(2m+2) - 1)/(zeta(2m) - 1) <= 1/4 and r_(m+1) <= r_m: the tail is at most last (x^2/4)/(1 - x^2/4). Floor
+    # 2 eps (S + |value|), S = 4 + P + M + R: the additions err by <= eps/2 (S + |value|), R by <= eps/2 (P + M)
+    # (ulp(1)/2 per coefficient; 0.0 for <= 5.6e-17 from m = 27), P and M by a few eps of themselves (terms that fall
+    # geometrically; the recurrence damps each rounding by 1/3). Worst over perfbench/reference.json: 0.29 of it
+    R, tail = math.fsum(terms), terms[-1] * x2 / (4.0 - x2)
+    value = -4.0 + P + M + R
+    return Evaluation(value, tail + 2.0 * _EPS * (4.0 + P + M + R + abs(value)), len(terms), True)
 
 
 def _ladder_delta(n: int, x: float, acc: Accuracy, row=None) -> Evaluation:
@@ -217,6 +236,7 @@ def evaluate(
     A NonConvergenceError carries the route's best estimate as its result.
     p may also be an (n, x) pair."""
     p = p if type(p) is GridPoint else _as_point(GridPoint, p)
+    _require_accuracy(acc)
     if method == METHOD_INTEGRAL:
         ev = _integral(p, acc)
     elif method == METHOD_LADDER:
@@ -244,15 +264,17 @@ def eval_derivative_cot(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float
 
 
 def eval_derivative_series(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """x * d/dx of the family at p, via the even-zeta series:
+    """x * d/dx of the family at p, x < 1, via the even-zeta series:
 
         2 n! sum_{m>=1} (2m)!/(2m+n)! zeta(2m) x^(2m) - 2
 
     The paper prints two mutually inconsistent constants, -1 and -2;
     substituting the cotangent expansion into the integral route yields
-    -2, and the series_constant check confirms it. The factorial ratio
-    n! (2m)!/(2m+n)! is updated from one m to the next by
-    (2m-1)(2m)/((2m-1+n)(2m+n)), never through explicit factorials.
+    -2, and the series_constant check confirms it. The parts of zeta(2m) = 1
+    + (zeta(2m) - 1) are summed apart: the 1s in closed form, to full
+    precision, and the rest, whose terms fall at least 4x each, to below
+    acc.series_abs_tol with a proven tail. Its terms (at most 23 by default)
+    are the evaluations that evaluate() reports.
     """
     return evaluate(p, METHOD_DERIVATIVE_SERIES, acc).value
 
@@ -263,6 +285,7 @@ def ladder_delta(n: int, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
         1/(n+1) - int_0^1 [(n+1)(1-u)^n - n(1-u)^(n-1)] log(2 sin(pi x u)) du
     """
     p = GridPoint(n, x)
+    _require_accuracy(acc)
     return _checked(_ladder_delta(p.n, p.x, acc)).value
 
 
@@ -289,6 +312,7 @@ def genfunc_closed(q: GenfuncPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
 def _genfunc_orders(x: float, count: int, acc: Accuracy) -> list[Evaluation]:
     # g(1, x), ..., g(count, x) over one kernel row: the partial sum and the
     # tail bound at one x read the same values whatever z they are taken at
+    _require_accuracy(acc)
     g = _scale(x, acc).g
     return [g(n) for n in range(1, count + 1)]
 
@@ -314,8 +338,8 @@ def _tail_bound(g1: Evaluation, x: float, z: float, N: int) -> float:
 
 
 def genfunc_partial(x: float, z: float, N: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """Partial sum sum_{n=1..N} g(n, x) z^n of the generating function."""
-    _require_int("N", N, 1)
+    """Partial sum sum_{n=1..N} g(n, x) z^n of the generating function, N <= LADDER_MAX_ORDER."""
+    _require_int("N", N, 1, LADDER_MAX_ORDER)
     point = GenfuncPoint(x, z)  # validates x and |z| <= 0.9
     return _partial_sum(_genfunc_orders(x, N, acc), point.z)
 
@@ -325,6 +349,6 @@ def genfunc_tail_bound(x: float, z: float, N: int, acc: Accuracy = DEFAULT_ACCUR
     from g(1, x) alone, as |g(n, x)| <= |2 H_n - 2 log(2 pi x)| + g(1, x) -
     2 + 2 log(2 pi x) at every n (the family grows like 2 log n).
     """
-    _require_int("N", N, 1)
+    _require_int("N", N, 1, LADDER_MAX_ORDER)
     point = GenfuncPoint(x, z)
     return _tail_bound(_genfunc_orders(point.x, 1, acc)[0], point.x, point.z, N)

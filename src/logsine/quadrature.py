@@ -24,7 +24,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .config import DEFAULT_ACCURACY, Accuracy, _is_real, _require_int, _require_scale
+from .config import DEFAULT_ACCURACY, Accuracy, _is_real, _require_accuracy, _require_int, _require_scale
 from .errors import DomainError, NonConvergenceError, NonFiniteSampleError
 
 # Beyond |t| = _T_MAX the abscissa rounds onto an endpoint; the truncated
@@ -170,6 +170,7 @@ def integrate_de(f: Callable[..., float], acc: Accuracy = DEFAULT_ACCURACY) -> E
     or the refinement budget is exhausted. Raises NonConvergenceError
     (carrying the best estimate, converged=False) when the budget runs out.
     """
+    _require_accuracy(acc)
     value = 0.0  # so level 0's refined value is its bare trapezoid sum
     evaluations = 0
     converged = False

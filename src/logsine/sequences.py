@@ -24,7 +24,7 @@ import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .config import DEFAULT_ACCURACY, Accuracy, _require_int
+from .config import DEFAULT_ACCURACY, Accuracy, _require_accuracy, _require_int
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -191,6 +191,7 @@ def zeta_even_direct(m: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     read the Bernoulli table it is checked against.
     """
     _require_int("m", m, 1)
+    _require_accuracy(acc)
     s = 2 * m
     first_omitted = s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / 30240
     K = math.ceil((first_omitted / acc.series_abs_tol) ** (1.0 / (s + 5)))

@@ -12,9 +12,8 @@ A point whose evaluation fails (a domain error, a quadrature failure or an
 arithmetic error) never aborts the check: it scores an infinite residual,
 so the check fails, and the notes name the point and the error.
 Points of one check that need the same value share it within the call:
-the ladder check evaluates each g(n, x) once, the path check climbs the
-ladder once per x from the g(1, x) it compares against, and the genfunc
-check reads one run of orders per x. Inputs are read once, whole.
+the ladder check evaluates each g(n, x) once, and the genfunc check reads
+one run of orders per x. Inputs are read once, whole.
 
 Each check is a pure function of its grid and accuracy budget, so two runs
 with the same inputs produce bit-identical reports.
@@ -28,7 +27,7 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from . import family
-from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_point, _require_int
+from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_point, _require_accuracy, _require_int
 from .errors import DomainError, QuadratureError
 from .family import (
     CONSTANT_CORRECTED,
@@ -51,16 +50,14 @@ from .sequences import harmonic, zeta_even_bernoulli, zeta_even_direct
 
 ID_DERIVATIVE = "derivative_fd_vs_cot"
 ID_LADDER = "ladder_vs_diff"
-ID_PATH = "path_equivalence"
 ID_SERIES_CONSTANT = "series_constant"
 ID_GENFUNC = "genfunc"
 ID_BERNOULLI_ZETA = "bernoulli_zeta"
-IDENTITY_IDS = (ID_DERIVATIVE, ID_LADDER, ID_PATH, ID_SERIES_CONSTANT, ID_GENFUNC, ID_BERNOULLI_ZETA)
+IDENTITY_IDS = (ID_DERIVATIVE, ID_LADDER, ID_SERIES_CONSTANT, ID_GENFUNC, ID_BERNOULLI_ZETA)
 
 FD_STEP = 1e-5
 TOL_DERIVATIVE = 1e-6
 TOL_LADDER = 1e-8
-TOL_PATH = 1e-8
 TOL_SERIES_CONSTANT = 1e-8
 TOL_GENFUNC_BASE = 1e-8
 TOL_BERNOULLI_ZETA = 1e-12
@@ -138,10 +135,11 @@ class AsymptoticAudit(namedtuple("AsymptoticAudit", "kind rows log_slope summary
 _POINT_LABEL = "(n={0.n}, x={0.x:g})"
 
 
-def _run(identity_id: str, grid, label: str, residual, tolerance, notes) -> IdentityReport:
+def _run(identity_id: str, grid, label: str, residual, tolerance, notes, acc: Accuracy) -> IdentityReport:
     # label.format(point) names a failing point in the notes. tolerance and
     # notes may be zero-argument callables, read after the last point, for
     # checks whose budget or notes depend on what the points returned.
+    _require_accuracy(acc)  # here, as a point's DomainError would only fail the check
     grid = tuple(grid)
     if not grid:
         raise DomainError("grid must be non-empty")
@@ -189,30 +187,17 @@ def check_derivative(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = D
         return abs(fd - eval_derivative_cot(p, acc))
 
     notes = f"central difference step {FD_STEP:g}; tolerance from the O(h^2) truncation budget"
-    return _run(ID_DERIVATIVE, _coerce_grid(grid), _POINT_LABEL, residual, TOL_DERIVATIVE, notes)
+    return _run(ID_DERIVATIVE, _coerce_grid(grid), _POINT_LABEL, residual, TOL_DERIVATIVE, notes, acc)
 
 
 def check_ladder(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
     """Direct difference g(n+1, x) - g(n, x) against the single-integral
     ladder step; tolerance 1e-8 from the three quadrature budgets involved."""
-    notes = f"tolerance from the error budget of three {acc.quad_rel_tol:g} quadratures"
     scale = cache(lambda x: family._scale(x, acc))  # each g(n, x) once: an interior one ends one difference and starts the next
     return _run(
         ID_LADDER, _coerce_grid(grid), _POINT_LABEL,
         lambda p: abs(scale(p.x).g(p.n + 1).value - scale(p.x).g(p.n).value - scale(p.x).step(p.n).value),
-        TOL_LADDER, notes,
-    )
-
-
-def check_path_equivalence(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
-    """Ladder-climbed value against the direct integral; the per-point
-    residual is divided by n so one tolerance covers the n accumulated
-    quadrature budgets."""
-    notes = "residuals scaled by 1/n; tolerance per accumulated quadrature budget"
-    scale = cache(lambda x: family._scale(x, acc))  # one climb per x, extended as asked; its rung 1 is g(1, x)
-    return _run(
-        ID_PATH, _coerce_grid(grid), _POINT_LABEL,
-        lambda p: abs(scale(p.x).rung(p.n).value - scale(p.x).g(p.n).value) / p.n, TOL_PATH, notes,
+        TOL_LADDER, lambda: f"tolerance from the error budget of three {acc.quad_rel_tol:g} quadratures", acc,
     )
 
 
@@ -226,7 +211,6 @@ def check_series_constant(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accurac
     """
     points = _coerce_grid(grid)
     gaps: dict[GridPoint, float] = {}  # corrected series less the cot route, per evaluated point
-    capped = []
 
     def score(variant: str, p: GridPoint) -> float:
         # inf at a failed point; another constant shifts the gap by the constants' difference
@@ -237,10 +221,7 @@ def check_series_constant(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accurac
 
     def residual(p: GridPoint) -> float:
         reference = eval_derivative_cot(p, acc)
-        ev = _derivative_series(p, acc)
-        gaps[p] = ev.value - reference
-        if ev.evaluations >= acc.max_series_terms and ev.err_estimate >= acc.series_abs_tol:
-            capped.append(p)
+        gaps[p] = _derivative_series(p, acc).value - reference
         return score(chosen(), p)
 
     def notes() -> str:
@@ -253,12 +234,9 @@ def check_series_constant(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accurac
         )
         if matches[best] != len(points):
             text += "; no single variant matches uniformly"
-        if capped:
-            capped_at = ", ".join(_POINT_LABEL.format(p) for p in capped)
-            text += f"; term cap {acc.max_series_terms} reached before the tail tolerance at {capped_at}"
         return text
 
-    return _run(ID_SERIES_CONSTANT, points, _POINT_LABEL, residual, TOL_SERIES_CONSTANT, notes)
+    return _run(ID_SERIES_CONSTANT, points, _POINT_LABEL, residual, TOL_SERIES_CONSTANT, notes, acc)
 
 
 def check_genfunc(
@@ -269,7 +247,7 @@ def check_genfunc(
 ) -> IdentityReport:
     """Closed form of the generating function against its order-N partial
     sum; tolerance 1e-8 plus the largest proven tail bound."""
-    _require_int("N", N, 1)
+    _require_int("N", N, 1, family.LADDER_MAX_ORDER)
     xs, zs = _read("xs", xs), _read("zs", zs)
     grid = [(p.x, p.z) for p in (GenfuncPoint(x, z) for x in xs for z in zs)]  # validate up front
     orders = cache(lambda x: _genfunc_orders(x, N, acc))  # g(1..N, x), shared by every z at x
@@ -285,7 +263,7 @@ def check_genfunc(
     return _run(
         ID_GENFUNC, grid, "(x={0[0]:g}, z={0[1]:g})", residual, lambda: TOL_GENFUNC_BASE + max(tails),
         lambda: f"partial sums to N={N}; tolerance 1e-08 plus the largest proven tail bound "
-        f"{max(tails):.3e} (from g(1, x) and the growth of H_n)",
+        f"{max(tails):.3e} (from g(1, x) and the growth of H_n)", acc,
     )
 
 
@@ -299,12 +277,13 @@ def check_bernoulli_zeta(m_max: int = 30, acc: Accuracy = DEFAULT_ACCURACY) -> I
         return abs(zeta_even_bernoulli(m) - direct) / direct
 
     notes = "relative residuals; tolerance from the rounding budget of the exact-rational route"
-    return _run(ID_BERNOULLI_ZETA, range(1, m_max + 1), "m={0}", residual, TOL_BERNOULLI_ZETA, notes)
+    return _run(ID_BERNOULLI_ZETA, range(1, m_max + 1), "m={0}", residual, TOL_BERNOULLI_ZETA, notes, acc)
 
 
 def _asymptotic_audit(kind: str, points, scale, axis: str, claim: str, acc: Accuracy) -> AsymptoticAudit:
     # one row per point; scale(p, g) is the scaled column and axis ("x" or
     # "n") the abscissa of the log-log slope
+    _require_accuracy(acc)
     rows = []
     for p in points:
         n, x = p.n, p.x

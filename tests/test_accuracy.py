@@ -4,10 +4,12 @@ perfbench/reference.json holds g(n, x) and x g'(n, x) from an independent
 mpmath evaluation of the integral representation. The subset here takes
 every stored x at orders 1, 2, 3, 5, 9 and every power of ten to 10^6, so
 it reaches the large-n points where the weight crowds into u ~ 1/n. The
-ladder step is gated at every step of the table up to n = 100, and the
-integral and ladder routes, and the derivative routes through the family's
-differential relation, also against closed forms at x = 1/2 and 1 that come
-by another path (the kernel's Fourier series) in stdlib Decimal.
+ladder step is gated at every step of the table up to n = 100, the series
+route at every x g' value with x < 1 and near x = 1 against the integral
+route, and the integral and ladder routes, and the derivative routes through
+the family's differential relation, also against closed forms at x = 1/2
+and 1 that come by another path (the kernel's Fourier series) in stdlib
+Decimal.
 """
 
 import json
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import logsine.family as family
-from logsine import DEFAULT_ACCURACY, GridPoint, evaluate
+from logsine import DEFAULT_ACCURACY, DomainError, GridPoint, evaluate
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 ORDERS = {1, 2, 3, 5, 9} | {10**k for k in range(1, 7)}
@@ -32,20 +34,20 @@ def reference():
     return json.loads(REFERENCE.read_text())
 
 
-def errors(table, method):
-    # (point, value, err_estimate, |value - ref|, relative error) for every
-    # subset point the table holds a value at; a null entry is a divergent
-    # quantity, which the route rejects with a domain error instead
+def errors(table, method, keep=lambda n, x: n in ORDERS):
+    # (point, value, err_estimate, |value - ref|, relative error, evaluations) for every
+    # point keep admits (the subset) that the table holds a value at; a null entry is
+    # a divergent quantity, which the route rejects with a domain error instead
     out = []
     for key, text in table.items():
-        n, x = key.split("|")
-        if int(n) not in ORDERS or text is None:
+        n, x = int(key.split("|")[0]), float(key.split("|")[1])
+        if not keep(n, x) or text is None:
             continue
-        p = GridPoint(int(n), float(x))
+        p = GridPoint(n, x)
         ev = evaluate(p, method=method)
         ref = Fraction(text)
         abs_err = float(abs(Fraction(ev.value) - ref))
-        out.append((p, ev.value, ev.err_estimate, abs_err, abs_err / max(abs(float(ref)), 1.0)))
+        out.append((p, ev.value, ev.err_estimate, abs_err, abs_err / max(abs(float(ref)), 1.0), ev.evaluations))
     return out
 
 
@@ -89,6 +91,54 @@ def test_cot_route_error_estimate_is_a_bound_but_at_the_known_points(reference):
     assert len(rows) == 736
     violations = {(r[0].n, r[0].x) for r in rows if r[3] > r[2] + 4 * EPS * abs(r[1])}
     assert violations <= COT_KNOWN_MISSES
+
+
+def test_series_route_error_estimate_is_a_bound(reference):
+    # every x g' value with x < 1, n up to 10^6: the tail of the zeta(2m) - 1 part is proven, the 1s are summed in
+    # closed form, and no point takes more than 30 of the series' terms
+    rows = errors(reference["dg"], "derivative-series", keep=lambda n, x: x < 1.0)
+    assert len(rows) == 5940
+    assert [r[0] for r in rows if r[3] > r[2] + 4 * EPS * abs(r[1])] == []
+    assert max(r[4] for r in rows) <= 1e-15
+    assert max(r[5] for r in rows) <= 30
+
+
+def test_series_route_rejects_x_one(reference):
+    # x g'(n, 1) is finite from n = 2, but the series route stops short of its radius
+    ns = [int(key.split("|")[0]) for key, text in reference["dg"].items() if key.endswith("|1.0") and text is not None]
+    assert len(ns) == 89
+    for n in ns:
+        with pytest.raises(DomainError, match="x < 1 on the series route"):
+            evaluate(GridPoint(n, 1.0), method="derivative-series")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 64])
+def test_series_route_near_one_meets_the_integral_route(n):
+    # x = 1 - 2^-k, k = 1..52, where a capped loop of the whole series fell short: against n [g(n-1) - g(n)]
+    # from the integral route, within the summed budgets
+    for k in range(1, 53):
+        x = 1.0 - 2.0**-k
+        s, lower, upper = (evaluate(GridPoint(m, x), method=r) for m, r in
+                           ((n, "derivative-series"), (n - 1, "integral"), (n, "integral")))
+        budget = s.err_estimate + n * (lower.err_estimate + upper.err_estimate)
+        budget += 4 * EPS * (abs(s.value) + n * abs(lower.value) + n * abs(upper.value))
+        assert abs(s.value - n * (lower.value - upper.value)) <= budget, k
+        assert s.evaluations <= 30
+
+
+def test_ladder_route_error_estimate_is_a_bound(reference):
+    # the subset up to n = 100; one climb per x serves every order at it, each rung bit for bit the
+    # ladder route's value (tests/test_family.py::TestLadderRoute)
+    climbs = {}
+    violations = points = 0
+    for key, text in reference["g"].items():
+        n, x = int(key.split("|")[0]), float(key.split("|")[1])
+        if n not in ORDERS or n > 100 or text is None:
+            continue
+        ev = climbs.setdefault(x, family._scale(x, DEFAULT_ACCURACY)).rung(n)
+        points += 1
+        violations += float(abs(Fraction(ev.value) - Fraction(text))) > ev.err_estimate + 4 * EPS * abs(ev.value)
+    assert (points, violations) == (1957, 0)
 
 
 def test_ladder_step_error_estimate_is_a_bound(reference):

@@ -133,13 +133,24 @@ class TestEval:
         assert out == ""
         assert "diverges like log(1-x) at n = 1, x = 1" in err
 
-    def test_max_terms_flag_reaches_series(self, capsys):
-        code, out, _ = run(
-            capsys, "eval", "--n", "1", "--x", "0.8", "--method", "derivative-series",
-            "--max-terms", "5",
-        )
+    @pytest.mark.parametrize("command", [
+        ["eval", "--n", "1", "--x", "0.5"],
+        ["eval", "--n", "1", "--x", "0.8", "--method", "derivative-series"],
+        ["verify", "--only", "series_constant"],
+    ])
+    def test_max_terms_flag_is_gone_exit_2(self, capsys, command):
+        # the series route has no term cap: the split series takes at most 23 terms at any x < 1
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(command + ["--max-terms", "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --max-terms 5" in capsys.readouterr().err
+
+    def test_series_near_one(self, capsys):
+        # x g'(1, 0.9999) = -4 + P + M + R; the capped loop printed 3.6966 here with exit 0
+        code, out, _ = run(capsys, "eval", "--n", "1", "--x", "0.9999", "--method", "derivative-series")
         assert code == 0
-        assert parse_plain(out.splitlines()[0])["evaluations"] == "5"
+        record = parse_plain(out.splitlines()[0])
+        assert (record["value"], record["evaluations"]) == ("6.3733006520804", "23")
 
     def test_tolerance_flags_accepted(self, capsys):
         code, out, _ = run(
@@ -373,10 +384,15 @@ class TestVerify:
         assert code == 0
         assert f"notes: tolerance from the error budget of three {tol} quadratures" in out
 
-    def test_only_path_equivalence_selectable(self, capsys):
-        code, out, _ = run(capsys, "verify", "--only", "path_equivalence")
-        assert code == 0
-        assert "path_equivalence" in out
+    def test_path_equivalence_is_gone_exit_2(self, capsys):
+        # its residual telescoped into ladder_vs_diff's: verify knows the five default ids only
+        assert cli.IDENTITY_IDS == (
+            "derivative_fd_vs_cot", "ladder_vs_diff", "series_constant", "genfunc", "bernoulli_zeta",
+        )
+        code, out, err = run(capsys, "verify", "--only", "path_equivalence")
+        assert code == 2
+        assert out == ""
+        assert "unknown identity id: path_equivalence" in err
 
     def test_unknown_identity_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "no_such_id")

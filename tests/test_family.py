@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import re
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import logsine
 import logsine.family as family
 from logsine import (
     DEFAULT_ACCURACY,
@@ -137,9 +139,6 @@ class TestAccuracy:
             ("series_abs_tol", -1e-15),
             ("quad_rel_tol", "1e-12"),
             ("series_abs_tol", None),
-            ("max_series_terms", 1.5),
-            ("max_series_terms", True),
-            ("max_series_terms", 0),
             ("max_quad_refinements", 2.5),
             ("max_quad_refinements", True),
             ("max_quad_refinements", 0),
@@ -152,8 +151,13 @@ class TestAccuracy:
             Accuracy(**{field: value})
 
     def test_integer_budgets_accepted(self):
-        acc = Accuracy(max_series_terms=np.int64(5), max_quad_refinements=3)
-        assert (acc.max_series_terms, acc.max_quad_refinements) == (5, 3)
+        assert Accuracy(max_quad_refinements=np.int64(3)).max_quad_refinements == 3
+
+    def test_no_series_term_cap(self):
+        # the split series proves its own tail, so no budget caps its terms
+        assert Accuracy._fields == ("quad_rel_tol", "series_abs_tol", "max_quad_refinements")
+        with pytest.raises(TypeError):
+            Accuracy(max_series_terms=200)
 
     def test_refinement_budget_accepted_up_to_the_cap(self):
         assert Accuracy(max_quad_refinements=MAX_QUAD_REFINEMENTS).max_quad_refinements == MAX_QUAD_REFINEMENTS
@@ -361,11 +365,6 @@ class TestDerivativeRoutes:
         with pytest.raises(DomainError, match="series"):
             eval_derivative_series(GridPoint(1, 1.0))
 
-    def test_series_honors_term_cap(self):
-        acc = Accuracy(max_series_terms=5)
-        ev = evaluate(GridPoint(1, 0.8), method="derivative-series", acc=acc)
-        assert ev.evaluations == 5
-
 
 class TestLadderRoute:
     def test_closed_form_step(self):
@@ -423,6 +422,63 @@ class TestLadderRoute:
     def test_via_ladder_agrees_with_integral(self):
         p = GridPoint(10, 0.5)
         assert abs(eval_via_ladder(p) - eval_integral(p)) <= 10 * 1e-8
+
+
+class TestSharedClimb:
+    # family._scale(x, acc) serves the table's g_ladder column and the ladder route: one climb per x, extended
+    # as asked, over one kernel row that the direct integrals at that x share
+    def test_failed_step_is_not_kept(self, monkeypatch):
+        steps = []
+        step = family._ladder_delta
+
+        def failing(n, x, acc, row=None):
+            steps.append((n, x))
+            if x == 0.5:
+                raise NonFiniteSampleError("injected")
+            return step(n, x, acc, row=row)
+
+        monkeypatch.setattr(family, "_ladder_delta", failing)
+        scales = {x: family._scale(x, DEFAULT_ACCURACY) for x in (0.3, 0.5)}
+        failed = []
+        for n, x in [(2, 0.3), (2, 0.5), (1, 0.3), (3, 0.5), (1, 0.5)]:
+            try:
+                scales[x].rung(n)
+            except NonFiniteSampleError:
+                failed.append((n, x))
+        # only the rungs at x = 0.5 that need the failed step fail; rung 1 is g(1, 0.5) itself,
+        # and the climb at x = 0.3 serves both of its rungs
+        assert failed == [(2, 0.5), (3, 0.5)]
+        # a failed step is not kept: the next rung at its x climbs again from the rung below it
+        assert steps == [(1, 0.3), (1, 0.5), (1, 0.5)]
+
+    def test_order_past_the_cap_fails_only_its_own_rung(self, monkeypatch):
+        # each rung checks the cap before any quadrature, so the climb at x = 0.5 still serves n = 5
+        climb = family._scale(0.5, DEFAULT_ACCURACY).rung
+        low = climb(5)
+        calls = count_quadratures(monkeypatch)
+        with pytest.raises(DomainError, match=r"^n must satisfy n <= 10000 \(LADDER_MAX_ORDER\) on the ladder route$"):
+            climb(20000)
+        assert climb(5) == low
+        assert calls == []
+
+    def test_ladder_grid_takes_one_row_and_each_integral_once_per_scale(self, monkeypatch):
+        # g(n) and rung(n), n = 1..10, at 9 scales: 10 orders x 9 scales of g, plus one climb of 9 steps per
+        # scale above its rung 1, g(1, x), all over one row of 101 nodes per scale
+        quadratures = count_quadratures(monkeypatch)
+        samples = count_kernel_calls(monkeypatch)
+        for i in range(1, 10):
+            scale = family._scale(i / 10.0, DEFAULT_ACCURACY)
+            for n in range(1, 11):
+                assert scale.rung(n).converged and scale.g(n).converged
+        assert len(quadratures) == 90 + 9 * 9
+        assert len(samples) == len(set(samples)) == 909
+
+    def test_shared_climb_gives_each_point_its_own_values(self):
+        # values shared across points give each point what a scale of its own gives it
+        scales = {}
+        for n, x in [(3, 0.5), (1, 0.5), (2, 1.0), (2, 0.5)]:
+            shared, own = scales.setdefault(x, family._scale(x, DEFAULT_ACCURACY)), family._scale(x, DEFAULT_ACCURACY)
+            assert (shared.rung(n), shared.g(n)) == (own.rung(n), own.g(n))
 
 
 class TestGenfunc:
@@ -540,6 +596,72 @@ class TestPointRecords:
             call()
 
 
+class TestInputContract:
+    def test_pair_past_the_largest_float_rejected(self):
+        # float() of such an int overflows; the pair is refused like any other unreadable one
+        with pytest.raises(DomainError, match=r"\(n, x\) pairs"):
+            evaluate((2, 2**2000))
+        with pytest.raises(DomainError, match=r"\(x, z\) pairs"):
+            genfunc_closed((0.5, 2**2000))
+
+    # every public name that takes acc, called where nothing else would fail, and at x = 1 where a closed
+    # form reads no budget
+    ACC_CALLS = {
+        "evaluate": lambda acc: evaluate(GridPoint(1, 1.0), "integral", acc),
+        "eval_integral": lambda acc: eval_integral(GridPoint(1, 1.0), acc),
+        "eval_derivative_cot": lambda acc: eval_derivative_cot(GridPoint(2, 0.5), acc),
+        "eval_derivative_series": lambda acc: eval_derivative_series(GridPoint(2, 0.5), acc),
+        "eval_via_ladder": lambda acc: eval_via_ladder(GridPoint(2, 1.0), acc),
+        "ladder_delta": lambda acc: ladder_delta(1, 1.0, acc),
+        "genfunc_closed": lambda acc: genfunc_closed(GenfuncPoint(0.5, 0.3), acc),
+        "genfunc_partial": lambda acc: genfunc_partial(1.0, 0.3, 1, acc),
+        "genfunc_tail_bound": lambda acc: genfunc_tail_bound(1.0, 0.3, 1, acc),
+        "integrate_de": lambda acc: logsine.integrate_de(pointwise(lambda u: u), acc),
+        "zeta_even_direct": lambda acc: zeta_even_direct(1, acc),
+        "check_derivative": lambda acc: logsine.check_derivative(acc=acc),
+        "check_ladder": lambda acc: logsine.check_ladder([(1, 1.0)], acc=acc),
+        "check_series_constant": lambda acc: logsine.check_series_constant(acc=acc),
+        "check_genfunc": lambda acc: check_genfunc(acc=acc),
+        "check_bernoulli_zeta": lambda acc: check_bernoulli_zeta(acc=acc),
+        "audit_small_x": lambda acc: logsine.audit_small_x(1, xs=(1.0,), acc=acc),
+        "audit_large_n": lambda acc: audit_large_n(1.0, ns=(1,), acc=acc),
+        "audit_table": lambda acc: audit_table(acc),
+    }
+
+    def test_every_public_name_that_takes_acc_is_listed(self):
+        takes_acc = {name for name in logsine.__all__ if callable(obj := getattr(logsine, name))
+                     and not isinstance(obj, type) and "acc" in inspect.signature(obj).parameters}
+        assert takes_acc == set(self.ACC_CALLS)
+
+    @pytest.mark.parametrize("acc", [None, 1e-12, DEFAULT_ACCURACY._asdict()], ids=["None", "float", "dict"])
+    @pytest.mark.parametrize("name", list(ACC_CALLS))
+    def test_non_accuracy_rejected(self, name, acc):
+        with pytest.raises(DomainError, match="^acc must be an Accuracy record"):
+            self.ACC_CALLS[name](acc)
+
+    def test_the_x_one_calls_need_no_quadrature(self, monkeypatch):
+        # so only an acc check of their own rejects a stray budget there
+        count_quadratures(monkeypatch, lambda f, acc: pytest.fail("quadrature ran"))
+        for name in ("evaluate", "eval_integral", "ladder_delta", "genfunc_partial", "audit_small_x", "audit_large_n"):
+            self.ACC_CALLS[name](DEFAULT_ACCURACY)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda N: genfunc_partial(0.5, 0.3, N), id="genfunc_partial"),
+        pytest.param(lambda N: genfunc_tail_bound(0.5, 0.3, N), id="genfunc_tail_bound"),
+        pytest.param(lambda N: check_genfunc(N=N), id="check_genfunc"),
+    ])
+    @pytest.mark.parametrize("N", [LADDER_MAX_ORDER + 1, 10**400])
+    def test_order_count_past_the_ladder_cap_rejected_before_any_quadrature(self, monkeypatch, call, N):
+        # the engine raises if it is reached, so a missing check fails at once instead of looping N times
+        count_quadratures(monkeypatch, lambda f, acc: pytest.fail("quadrature ran"))
+        with pytest.raises(DomainError, match=f"^N must satisfy N <= {LADDER_MAX_ORDER}$"):
+            call(N)
+
+    def test_order_count_at_the_ladder_cap_accepted(self):
+        # |z|^(N+1) underflows there: the bound is 0.0
+        assert genfunc_tail_bound(0.5, 0.9, LADDER_MAX_ORDER) == 0.0 < genfunc_tail_bound(0.5, 0.9, 60)
+
+
 class TestEvaluateDispatch:
     def test_routes_agree(self):
         p = GridPoint(3, 0.4)
@@ -577,7 +699,7 @@ class TestRecords:
 
     def test_keyword_construction_and_defaults(self):
         assert Accuracy() == DEFAULT_ACCURACY
-        assert Accuracy(max_series_terms=5).max_series_terms == 5
+        assert Accuracy(series_abs_tol=1e-12).series_abs_tol == 1e-12
         assert GridPoint(n=3, x=0.5) == GridPoint(3, 0.5)
         assert GenfuncPoint(z=0.3, x=0.5) == GenfuncPoint(0.5, 0.3)
         with pytest.raises(DomainError, match="z must be real"):

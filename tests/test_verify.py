@@ -1,7 +1,9 @@
 import math
+import sys
 
 import pytest
 
+import logsine.family as family
 from logsine import (
     Accuracy,
     DomainError,
@@ -14,17 +16,16 @@ from logsine import (
     check_derivative,
     check_genfunc,
     check_ladder,
-    check_path_equivalence,
     check_series_constant,
     eval_derivative_cot,
     eval_integral,
-    eval_via_ladder,
     harmonic,
     ladder_delta,
 )
-from logsine.verify import FD_STEP
+from logsine.verify import DEFAULT_LADDER_GRID, FD_STEP
 
 G_1_HALF = 1.0 - math.log(math.pi)
+EPS = sys.float_info.epsilon
 
 
 class TestIdentityReportType:
@@ -55,10 +56,6 @@ class TestOnePointResiduals:
     def test_ladder(self, p):
         diff = eval_integral(GridPoint(p.n + 1, p.x)) - eval_integral(p)
         assert check_ladder([p]).max_abs_residual == abs(diff - ladder_delta(p.n, p.x))
-
-    @pytest.mark.parametrize("p", POINTS)
-    def test_path_equivalence(self, p):
-        assert check_path_equivalence([p]).max_abs_residual == abs(eval_via_ladder(p) - eval_integral(p)) / p.n
 
 
 class TestChecks:
@@ -107,22 +104,11 @@ class TestChecks:
         with pytest.raises(DomainError, match=message):
             check_ladder(grid=[entry])
 
-    def test_path_equivalence_passes(self):
-        report = check_path_equivalence()
-        assert report.passed
-        assert report.tolerance == 1e-8
-
     def test_series_constant_names_corrected_variant(self):
         report = check_series_constant()
         assert report.passed
         assert "matching variant: corrected" in report.notes
         assert "as_printed=0" in report.notes
-
-    def test_series_constant_emits_cap_note_when_truncated(self):
-        from logsine import Accuracy
-
-        report = check_series_constant(grid=[(1, 0.95)], acc=Accuracy())
-        assert "term cap" in report.notes
 
     def test_series_constant_takes_one_series_per_point(self, monkeypatch):
         import logsine.family as family
@@ -173,13 +159,7 @@ class TestChecks:
         # 2 xs * 60 orders (the partial sums; the tail bound reads g(1, x)) + 8 closed forms
         assert len(calls) == 128
 
-    @pytest.mark.parametrize("check,integrals", [
-        # 11 orders x 9 scales of g, plus one ladder step per point
-        pytest.param(check_ladder, 99 + 90, id="ladder"),
-        # 10 orders x 9 scales of g, plus one climb of 9 steps per scale above its rung 1, g(1, x)
-        pytest.param(check_path_equivalence, 90 + 9 * 9, id="path_equivalence"),
-    ])
-    def test_check_evaluates_each_value_once(self, monkeypatch, check, integrals):
+    def test_ladder_check_evaluates_each_value_once(self, monkeypatch):
         import logsine.family as family
 
         calls = []
@@ -190,8 +170,20 @@ class TestChecks:
             return integrate_de(*args, **kwargs)
 
         monkeypatch.setattr(family, "integrate_de", counting)
-        assert check().passed
-        assert len(calls) == integrals
+        assert check_ladder().passed
+        # 11 orders x 9 scales of g, plus one ladder step per point
+        assert len(calls) == 99 + 90
+
+    def test_ladder_residuals_bound_the_climb(self):
+        # a climb's rung n is g(1) plus the steps below n, so its gap to g(n) telescopes into the
+        # ladder_vs_diff residuals below n, up to the climb's own roundings
+        for x in sorted({p.x for p in DEFAULT_LADDER_GRID}):
+            scale = family._scale(x, Accuracy())
+            residuals = [check_ladder([(k, x)]).max_abs_residual for k in range(1, 10)]
+            peak = max(abs(scale.g(n).value) for n in range(1, 11))
+            for n in range(1, 11):
+                gap = abs(scale.rung(n).value - scale.g(n).value)
+                assert gap <= math.fsum(residuals[: n - 1]) + 4 * EPS * n * peak, (n, x)
 
     def test_ladder_check_samples_each_kernel_node_once_per_scale(self, monkeypatch):
         # the 189 integrals read one row of kernel samples per x: 9 rows of 101 nodes
@@ -208,28 +200,10 @@ class TestChecks:
         assert check_ladder().passed
         assert len(calls) == len(set(calls)) == 9 * 101
 
-    def test_path_check_samples_each_kernel_node_once_per_scale(self, monkeypatch):
-        # the climb and the direct integrals at one x read one row: 9 rows of 101 nodes
-        import logsine.family as family
-
-        calls = []
-        kernel = family._log_sinc_less_w2
-
-        def counting(w):
-            calls.append(w)
-            return kernel(w)
-
-        monkeypatch.setattr(family, "_log_sinc_less_w2", counting)
-        assert check_path_equivalence().passed
-        assert len(calls) == len(set(calls)) == 909
-
     def test_shared_values_keep_the_pointwise_residuals(self):
         # values shared across a grid give each point the residual its one-point check reports
         grid = [(3, 0.5), (1, 0.5), (2, 1.0), (2, 0.5)]
         assert check_ladder(grid).max_abs_residual == max(check_ladder([p]).max_abs_residual for p in grid)
-        assert check_path_equivalence(grid).max_abs_residual == max(
-            check_path_equivalence([p]).max_abs_residual for p in grid
-        )
 
     def test_genfunc_accepts_zero_z(self):
         report = check_genfunc(xs=(0.5,), zs=(0.0, 0.3))
@@ -286,39 +260,6 @@ class TestChecks:
         assert not report.passed
         assert report.max_abs_residual == math.inf
         assert "evaluation failures" in report.notes
-
-    def test_failed_climb_fails_every_point_above_it_at_its_x(self, monkeypatch):
-        import logsine.family as family
-        from logsine import NonFiniteSampleError
-
-        steps = []
-        ladder_delta = family._ladder_delta
-
-        def failing(n, x, acc, row=None):
-            steps.append((n, x))
-            if x == 0.5:
-                raise NonFiniteSampleError("injected")
-            return ladder_delta(n, x, acc, row=row)
-
-        monkeypatch.setattr(family, "_ladder_delta", failing)
-        report = check_path_equivalence(grid=[(2, 0.3), (2, 0.5), (1, 0.3), (3, 0.5), (1, 0.5)])
-        assert not report.passed
-        assert report.max_abs_residual == math.inf
-        # only the points at x = 0.5 that need the failed step fail; rung 1 is g(1, 0.5) itself,
-        # and the shared climb at x = 0.3 still scores both of its points
-        assert report.notes.split("; evaluation failures: ")[1] == "(n=2, x=0.5): injected; (n=3, x=0.5): injected"
-        # a failed step is not kept: the next point at its x climbs again from the rung below it
-        assert steps == [(1, 0.3), (1, 0.5), (1, 0.5)]
-
-    def test_order_past_the_ladder_cap_fails_only_its_own_point(self):
-        # each rung checks the cap before any quadrature, so the climb at x = 0.5 still serves n = 5
-        report = check_path_equivalence([(5, 0.5), (20000, 0.5)])
-        assert not report.passed
-        assert report.notes == (
-            "residuals scaled by 1/n; tolerance per accumulated quadrature budget; evaluation failures: "
-            "(n=20000, x=0.5): n must satisfy n <= 10000 (LADDER_MAX_ORDER) on the ladder route"
-        )
-        assert check_path_equivalence([(5, 0.5)]).passed
 
     def test_failed_integral_fails_every_difference_that_reads_it(self, monkeypatch):
         import logsine.family as family
