@@ -9,8 +9,6 @@ family holds numerically.
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint
 from .errors import DomainError, NonConvergenceError, NonFiniteSampleError, QuadratureError
 from .family import (
-    CONSTANT_AS_PRINTED,
-    CONSTANT_CORRECTED,
     LADDER_MAX_ORDER,
     METHOD_DERIVATIVE_COT,
     METHOD_DERIVATIVE_SERIES,
@@ -59,8 +57,6 @@ __all__ = [
     "AsymptoticRow",
     "AuditRow",
     "BERNOULLI_MAX_INDEX",
-    "CONSTANT_AS_PRINTED",
-    "CONSTANT_CORRECTED",
     "DEFAULT_ACCURACY",
     "DomainError",
     "Evaluation",

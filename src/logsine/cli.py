@@ -101,15 +101,10 @@ def fmt(value) -> str:
 
 
 def _json_token(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return json.dumps(fmt(value))
+    # a bool, an int or a finite float as fmt renders it; a non-finite float as fmt's text in a JSON string
+    if isinstance(value, int) or isinstance(value, float) and math.isfinite(value):
         return fmt(value)
-    return json.dumps(value)
+    return json.dumps(fmt(value) if isinstance(value, float) else value)
 
 
 def _json_line(pairs) -> str:

@@ -25,12 +25,8 @@ from types import SimpleNamespace
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_point, _require_accuracy, _require_int
 from .errors import DomainError, NonConvergenceError
 from .quadrature import Evaluation, _checked, from_samples, integrate_de
-from .quadrature import _cot_less_w2, _cot_remainder, _log_sinc, _log_sinc_less_w2
+from .quadrature import _C2, _cot_less_pole, _log_sinc, _log_sinc_less_w2
 from .sequences import harmonic, zeta_even
-
-CONSTANT_AS_PRINTED = "as_printed"
-CONSTANT_CORRECTED = "corrected"
-SERIES_CONSTANTS = {CONSTANT_AS_PRINTED: -1.0, CONSTANT_CORRECTED: -2.0}
 
 METHOD_INTEGRAL = "integral"
 METHOD_LADDER = "ladder"
@@ -55,8 +51,9 @@ def _from_remainder(lead: float, size: float, q: Evaluation, moment: float) -> E
     # lead - (q - moment): q integrates a kernel less its w^2 term, and moment is minus that term's exact moment.
     # Rounding floor c eps (size + |q| + |value|), where size bounds lead's terms. lead errs by <= 2.5 eps size, moment
     # (5 roundings) by <= 4 eps |moment| <= 4 eps (size + |q| + |value|) and the subtractions by eps/2 (|q| + |moment|
-    # + |value|): c = 7. The samples' own rounding has no such bound near w = pi; c = 8 adds 1 for it, as no value or
-    # step of perfbench/reference.json needs more than c = 2.3 in all (the order-1 step near x = 1)
+    # + |value|): c = 7. The samples' own rounding has no such bound near w = pi (t = 1), nor the cot route's P + M
+    # (a few eps of itself); c = 8 adds 1 for them, as no value or step of perfbench/reference.json needs more than
+    # c = 2.3 in all (the order-1 step near x = 1; 0.86 on the cot route)
     value = lead - (q.value - moment)
     return q._replace(value=value, err_estimate=q.err_estimate + 8.0 * _EPS * (size + abs(q.value) + abs(value)))
 
@@ -129,15 +126,16 @@ def _integral(p: GridPoint, acc: Accuracy, row=None) -> Evaluation:
 
 
 def _derivative_cot(p: GridPoint, acc: Accuracy) -> Evaluation:
-    # -2 - n int_0^1 (1-u)^(n-1) (w cot w - 1) du: the kernel is 1 at u = 0. From n = 2 the quadrature takes it
-    # less its w^2 term -w^2/3, of moment -2 (pi x)^2 / (3 (n+1)(n+2)); n = 1's flat weight would gain no level
+    # -2 - n int_0^1 (1-u)^(n-1) (w cot w - 1) du, w = pi x u, as -4 + P + M + R (_poles): the kernel's part
+    # -2t^2/(1-t^2), t = xu, the sine product's k = 1 pole, has moment 2 - P - M, and R = -n int_0^1 (1-u)^(n-1) rho(xu)
+    # du + C2 x^2 2/((n+1)(n+2)), as rho (quadrature._cot_less_pole) is the kernel less that part and its t^2 term
     n, x = p.n, p.x
     _require_float_order(n)
     if n == 1 and x == 1.0:
         raise DomainError("the derivative diverges like log(1-x) at n = 1, x = 1")
-    a = math.pi * x
-    kernel, moment = (_cot_remainder, 0.0) if n == 1 else (_cot_less_w2, 2.0 * a * a / (3.0 * (n + 1) * (n + 2)))
-    return _from_remainder(-2.0, 2.0, _moment(_beta_sum(n, kernel, a), acc), moment)
+    P, M = _poles(n, x)
+    moment = _C2 * x * x / (0.5 * (n + 1) * (n + 2))
+    return _from_remainder(-4.0 + P + M, 4.0 + P + M, _moment(_beta_sum(n, _cot_less_pole, x), acc), moment)
 
 
 def _ratio_sum(a: float, j: int, c: int) -> float:
@@ -151,21 +149,27 @@ def _ratio_sum(a: float, j: int, c: int) -> float:
     return total
 
 
+def _poles(n: int, x: float) -> tuple[float, float]:
+    # P = n K(x) and M = n K(-x), K(a) = int_0^1 (1-u)^(n-1)/(1+au) du: the moments of the sine product's k = 1 factor,
+    # which both x g' routes take in closed form. Every term of both sums is positive
+    P = _ratio_sum(x / (1.0 + x), n, 1) / (1.0 + x)  # n/(1+x) sum_j b^j/(n+j), b = x/(1+x) <= 1/2
+    if x == 1.0:  # K(-1) = 1/(n-1), n >= 2
+        return P, n / (n - 1)
+    if n >= 64 or x < 0.75:  # M = sum_j x^j j! n!/(n+j)!, term ratio x (j+1)/(n+j+1)
+        return P, _ratio_sum(x, 1, n)
+    k = -math.log1p(-x) / x  # K_m = (1/m - (1-x) K_(m-1))/x from K_0 = -log(1-x)/x: its multiplier (1-x)/x is <= 1/3
+    for m in range(1, n):
+        k = (1.0 / m - (1.0 - x) * k) / x
+    return P, n * k
+
+
 def _derivative_series(p: GridPoint, acc: Accuracy) -> Evaluation:
     # -2 + 2 sum_m r_m zeta(2m) x^(2m), r_m = n! (2m)!/(2m+n)!. zeta(2m)'s 1s are the sine product's k = 1 factor:
-    # 2 sum_m r_m x^(2m) = P + M - 2, P = n K(x), M = n K(-x), K(a) = int_0^1 (1-u)^(n-1)/(1+au) du. So the value
-    # is -4 + P + M + R, R = 2 sum_m r_m (zeta(2m) - 1) x^(2m), and every term of P, M and R is positive
+    # 2 sum_m r_m x^(2m) = P + M - 2 (_poles). So the value is -4 + P + M + R, R = 2 sum_m r_m (zeta(2m) - 1) x^(2m)
     n, x = p.n, p.x
     if x >= 1.0:
         raise DomainError("x must satisfy x < 1 on the series route")
-    P = _ratio_sum(x / (1.0 + x), n, 1) / (1.0 + x)  # n/(1+x) sum_j b^j/(n+j), b = x/(1+x) <= 1/2
-    if n >= 64 or x < 0.75:  # M = sum_j x^j j! n!/(n+j)!, term ratio x (j+1)/(n+j+1)
-        M = _ratio_sum(x, 1, n)
-    else:  # K_m = (1/m - (1-x) K_(m-1))/x from K_0 = -log(1-x)/x: its multiplier (1-x)/x is at most 1/3
-        k = -math.log1p(-x) / x
-        for m in range(1, n):
-            k = (1.0 / m - (1.0 - x) * k) / x
-        M = n * k
+    P, M = _poles(n, x)
     x2, coef, terms, m = x * x, 2.0, [], 0  # coef: 2 r_m x^(2m)
     while not terms or terms[-1] >= acc.series_abs_tol:
         m += 1
@@ -259,6 +263,10 @@ def eval_derivative_cot(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float
     """x * d/dx of the family at p, via the cotangent average:
 
         -n int_0^1 (1-u)^(n-1) pi x u cot(pi x u) du - 1
+
+    As on the series route, the kernel's pole at x u = 1 (the sine product's
+    k = 1 factor) is summed in closed form, -4 + P + M, and the quadrature
+    integrates only the smooth rest R, so the estimate is a bound up to x = 1.
     """
     return evaluate(p, METHOD_DERIVATIVE_COT, acc).value
 
@@ -270,11 +278,12 @@ def eval_derivative_series(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> fl
 
     The paper prints two mutually inconsistent constants, -1 and -2;
     substituting the cotangent expansion into the integral route yields
-    -2, and the series_constant check confirms it. The parts of zeta(2m) = 1
-    + (zeta(2m) - 1) are summed apart: the 1s in closed form, to full
-    precision, and the rest, whose terms fall at least 4x each, to below
-    acc.series_abs_tol with a proven tail. Its terms (at most 23 by default)
-    are the evaluations that evaluate() reports.
+    -2. The parts of zeta(2m) = 1 + (zeta(2m) - 1) are summed apart: the 1s
+    in closed form, as the -4 + P + M the cotangent route shares, and the rest
+    R, whose terms fall at least 4x each, to below acc.series_abs_tol with a
+    proven tail. Its terms (at most 23 by default) are the evaluations that
+    evaluate() reports; the series_constant check compares R with the
+    cotangent route's integrated R.
     """
     return evaluate(p, METHOD_DERIVATIVE_SERIES, acc).value
 

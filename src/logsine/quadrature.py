@@ -20,6 +20,7 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -32,10 +33,12 @@ from .errors import DomainError, NonConvergenceError, NonFiniteSampleError
 _T_MAX = 3.13
 # Step of the coarsest trapezoid level; each refinement halves it.
 _H0 = 0.5
-# Below this value of w = pi*x*u the cotangent kernel switches to its
-# series form; both branches agree to better than 1e-13 at the cutoff.
+# Below this value of w = pi*x*u (of t = x*u for _cot_less_pole) the cotangent
+# kernels switch to their series forms; both branches agree to better than 1e-13 at the cutoff.
 _COT_SERIES_CUTOFF = 1e-4
 _REMAINDER_SERIES_CUTOFF = 1e-2  # remainder kernels use their series below it (error ~1e-21)
+# 2 (zeta(2) - 1) = pi^2/3 - 2 and 2 (zeta(4) - 1) = pi^4/45 - 2, correctly rounded
+_C2, _Z4 = 1.2898681336964528, 0.16464646742227637
 
 
 class Evaluation(namedtuple("Evaluation", "value err_estimate evaluations converged")):
@@ -84,7 +87,7 @@ def cot_kernel(x: float, u: float) -> float:
 
 def weight(n: int, u: float) -> float:
     """Averaging weight n (1-u)^(n-1); integrates to exactly 1 on [0, 1]."""
-    _require_int("n", n, 1)
+    _require_int("n", n, 1, sys.float_info.max)
     if type(u) is not float and not _is_real(u) or not 0.0 <= u <= 1.0:
         raise DomainError("u must satisfy 0 <= u <= 1")
     return float(n) * (1.0 - u) ** (n - 1)
@@ -106,20 +109,16 @@ def _log_sinc_less_w2(w: float) -> float:
     return math.log(math.sin(w) / w) + w2 / 6.0
 
 
-def _cot_remainder(w: float) -> float:
-    # w cot w - 1, 0 <= w < pi: the cotangent kernel less its value at 0
-    w2 = w * w
-    if w < _REMAINDER_SERIES_CUTOFF:
-        return -w2 * (1.0 / 3.0 + w2 * (1.0 / 45.0 + w2 * (2.0 / 945.0 + w2 / 4725.0)))
-    return w * math.cos(w) / math.sin(w) - 1.0
-
-
-def _cot_less_w2(w: float) -> float:
-    # w cot w - 1 + w^2/3, 0 <= w < pi: the cotangent remainder less its w^2 term
-    w2 = w * w
-    if w < _REMAINDER_SERIES_CUTOFF:
-        return -w2 * w2 * (1.0 / 45.0 + w2 * (2.0 / 945.0 + w2 / 4725.0))
-    return w * math.cos(w) / math.sin(w) - 1.0 + w2 / 3.0
+def _cot_less_pole(t: float) -> float:
+    # rho(t) = pi t cot(pi t) - 1 + 2t^2/(1-t^2) + _C2 t^2 = -2 sum_{m>=2} (zeta(2m) - 1) t^(2m), 0 <= t < 1: the
+    # cotangent kernel less the sine product's k = 1 pole, whose moments the x g' routes take in closed form, and less
+    # its t^2 term. Above t = 1/2, s = 1 - t is exact and cot(pi t) = -cot(pi s), so the pole cancels against s itself
+    if t < _COT_SERIES_CUTOFF:
+        return -_Z4 * t**4
+    if t < 0.5:
+        return math.pi * t / math.tan(math.pi * t) - 1.0 + (2.0 / (1.0 - t * t) + _C2) * t * t
+    s = 1.0 - t
+    return -math.pi * t / math.tan(math.pi * s) - 1.0 + (2.0 / (s * (1.0 + t)) + _C2) * t * t
 
 
 def _abscissa(t: float) -> tuple[float, float]:
@@ -208,6 +207,8 @@ def from_samples(f: Callable[[tuple[float, ...]], Sequence[float]]) -> Callable[
         except TypeError:
             # a result with no length (a generator, a float) or a sample that is no real number
             raise DomainError("integrand must return a sequence of one real sample per abscissa") from None
+        except OverflowError:  # an int sample past the largest float
+            raise DomainError("integrand returned a sample too large for a float") from None
         if not finite:  # as any non-finite sample leaves it
             for u, fu in zip(us, samples):
                 if not math.isfinite(fu):

@@ -190,7 +190,7 @@ def zeta_even_direct(m: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     m = 1 by default). The coefficients are literals: this route must not
     read the Bernoulli table it is checked against.
     """
-    _require_int("m", m, 1)
+    _require_int("m", m, 1, 2**53)  # zeta(2m) is 1.0 from m = 27, and s^5 / 30240 stays a float
     _require_accuracy(acc)
     s = 2 * m
     first_omitted = s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / 30240

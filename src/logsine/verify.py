@@ -30,8 +30,6 @@ from . import family
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_point, _require_accuracy, _require_int
 from .errors import DomainError, QuadratureError
 from .family import (
-    CONSTANT_CORRECTED,
-    SERIES_CONSTANTS,
     _derivative_series,
     _genfunc_orders,
     _integral,
@@ -46,7 +44,7 @@ from .family import (
     genfunc_tail_bound,  # noqa: F401  perfbench/spans.py wraps it here
     ladder_delta,  # noqa: F401  perfbench/spans.py wraps it here
 )
-from .sequences import harmonic, zeta_even_bernoulli, zeta_even_direct
+from .sequences import BERNOULLI_MAX_INDEX, harmonic, zeta_even_bernoulli, zeta_even_direct
 
 ID_DERIVATIVE = "derivative_fd_vs_cot"
 ID_LADDER = "ladder_vs_diff"
@@ -61,6 +59,7 @@ TOL_LADDER = 1e-8
 TOL_SERIES_CONSTANT = 1e-8
 TOL_GENFUNC_BASE = 1e-8
 TOL_BERNOULLI_ZETA = 1e-12
+SERIES_CONSTANTS = {"as_printed": -1.0, "corrected": -2.0}  # the series route's constant, as printed and as corrected
 
 # Published reference table audited by audit_table: (n, x, series column,
 # integral column). Both columns are retained even though they are equal,
@@ -214,7 +213,7 @@ def check_series_constant(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accurac
 
     def score(variant: str, p: GridPoint) -> float:
         # inf at a failed point; another constant shifts the gap by the constants' difference
-        return abs(gaps.get(p, math.inf) + (SERIES_CONSTANTS[variant] - SERIES_CONSTANTS[CONSTANT_CORRECTED]))
+        return abs(gaps.get(p, math.inf) + (SERIES_CONSTANTS[variant] - SERIES_CONSTANTS["corrected"]))
 
     def chosen() -> str:
         return min(SERIES_CONSTANTS, key=lambda v: score(v, points[0]))
@@ -270,7 +269,7 @@ def check_genfunc(
 def check_bernoulli_zeta(m_max: int = 30, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
     """Exact-rational Bernoulli route to zeta(2m) against direct summation;
     relative tolerance 1e-12 from the rounding budget of the rational route."""
-    _require_int("m_max", m_max, 1)
+    _require_int("m_max", m_max, 1, BERNOULLI_MAX_INDEX)  # every m past it fails on the Bernoulli side
 
     def residual(m: int) -> float:
         direct = zeta_even_direct(m, acc)

@@ -4,7 +4,8 @@ perfbench/reference.json holds g(n, x) and x g'(n, x) from an independent
 mpmath evaluation of the integral representation. The subset here takes
 every stored x at orders 1, 2, 3, 5, 9 and every power of ten to 10^6, so
 it reaches the large-n points where the weight crowds into u ~ 1/n. The
-ladder step is gated at every step of the table up to n = 100, the series
+ladder step is gated at every step of the table up to n = 100, the cot route
+at every x g' value and near x = 1 against the series route, the series
 route at every x g' value with x < 1 and near x = 1 against the integral
 route, and the integral and ladder routes, and the derivative routes through
 the family's differential relation, also against closed forms at x = 1/2
@@ -59,10 +60,13 @@ def test_integral_route_error_estimate_is_a_bound(reference):
     assert max(r[4] for r in rows) <= 1e-14
 
 
-def test_cot_route_accuracy(reference):
-    rows = errors(reference["dg"], "derivative-cot")
-    assert len(rows) == 736
-    assert max(r[4] for r in rows) <= 1e-12
+def test_cot_route_error_estimate_is_a_bound(reference):
+    # every x g' value, x = 1 from n = 2 included: the sine product's pole is taken in closed form, as on the series
+    # route, and the quadrature integrates only the smooth rest
+    rows = errors(reference["dg"], "derivative-cot", keep=lambda n, x: True)
+    assert len(rows) == 6029
+    assert [r[0] for r in rows if r[3] > r[2] + 4 * EPS * abs(r[1])] == []
+    assert max(r[4] for r in rows) <= 1e-15
 
 
 # g(1, x) = 1 - log(2 pi x) + Cl_2(2 pi x) / (2 pi x) (the Clausen link), with
@@ -78,19 +82,6 @@ CLAUSEN_ANCHORS = {
 def test_integral_route_meets_clausen_anchors(x, anchor):
     ev = evaluate(GridPoint(1, x))
     assert float(abs(Fraction(ev.value) - Fraction(anchor))) <= ev.err_estimate + 4 * EPS * abs(ev.value)
-
-
-# n = 1 with x >= 0.99, and (2, 1): the cotangent kernel's rounding near its pole at w = pi outgrows the floor;
-# no other subset point may miss its bound
-COT_KNOWN_MISSES = {(1, x) for x in (0.99, 0.993, 0.995, 0.997, 0.998, 0.999, 0.9993, 0.9995, 0.9998, 0.9999)}
-COT_KNOWN_MISSES.add((2, 1.0))
-
-
-def test_cot_route_error_estimate_is_a_bound_but_at_the_known_points(reference):
-    rows = errors(reference["dg"], "derivative-cot")
-    assert len(rows) == 736
-    violations = {(r[0].n, r[0].x) for r in rows if r[3] > r[2] + 4 * EPS * abs(r[1])}
-    assert violations <= COT_KNOWN_MISSES
 
 
 def test_series_route_error_estimate_is_a_bound(reference):
@@ -124,6 +115,15 @@ def test_series_route_near_one_meets_the_integral_route(n):
         budget += 4 * EPS * (abs(s.value) + n * abs(lower.value) + n * abs(upper.value))
         assert abs(s.value - n * (lower.value - upper.value)) <= budget, k
         assert s.evaluations <= 30
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 64])
+def test_cot_route_near_one_meets_the_series_route(n):
+    # x = 1 - 2^-k, k = 1..52, where the cot kernel's pole nears the end of the range, within the summed budgets
+    for k in range(1, 53):
+        x = 1.0 - 2.0**-k
+        a, b = (evaluate(GridPoint(n, x), method=r) for r in ("derivative-cot", "derivative-series"))
+        assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate + 4 * EPS * (abs(a.value) + abs(b.value)), k
 
 
 def test_ladder_route_error_estimate_is_a_bound(reference):

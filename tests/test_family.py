@@ -10,7 +10,9 @@ import pytest
 
 import logsine
 import logsine.family as family
+import logsine.verify as verify
 from logsine import (
+    BERNOULLI_MAX_INDEX,
     DEFAULT_ACCURACY,
     Accuracy,
     DomainError,
@@ -37,6 +39,7 @@ from logsine import (
     genfunc_partial,
     genfunc_tail_bound,
     harmonic,
+    integrate_de,
     ladder_delta,
     log_sin_kernel,
     weight,
@@ -44,7 +47,7 @@ from logsine import (
     zeta_even_direct,
 )
 from logsine.config import MAX_QUAD_REFINEMENTS
-from logsine.quadrature import _cot_less_w2, _cot_remainder, _level, _level_nodes, _log_sinc_less_w2
+from logsine.quadrature import _C2, _cot_less_pole, _level, _level_nodes, _log_sinc_less_w2
 
 # Apery's constant zeta(3), exact to double precision
 ZETA_3 = 1.2020569031595943
@@ -219,6 +222,30 @@ class TestOrdersPastTheLargestFloat:
 
     def test_series_route_takes_any_order(self):
         assert evaluate(GridPoint(10**400, 0.5), method="derivative-series").value == -2.0
+
+
+class TestIntegersPastTheFloatRange:
+    # an order, index or sample too large for a float is a DomainError, never an OverflowError
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: zeta_even_direct(10**400), "^m must satisfy m <= ", id="zeta_even_direct"),
+        pytest.param(lambda: weight(10**400, 0.5), "^n must satisfy n <= ", id="weight"),
+        pytest.param(lambda: integrate_de(from_samples(lambda us: [10**400] * len(us))),
+                     "^integrand returned a sample too large for a float$", id="integrate_de"),
+    ])
+    def test_domain_error(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+    def test_edges_evaluate(self):
+        assert zeta_even_direct(2**53) == 1.0
+        assert weight(int(sys.float_info.max), 0.5) == 0.0
+
+    def test_bernoulli_zeta_refuses_indices_past_the_table_before_its_grid(self, monkeypatch):
+        # every m past BERNOULLI_MAX_INDEX fails on the Bernoulli side, so the check refuses it before any point
+        assert check_bernoulli_zeta(BERNOULLI_MAX_INDEX).passed
+        monkeypatch.setattr(verify, "_run", lambda *args: pytest.fail("the check ran"))
+        with pytest.raises(DomainError, match=f"^m_max must satisfy m_max <= {BERNOULLI_MAX_INDEX}$"):
+            check_bernoulli_zeta(BERNOULLI_MAX_INDEX + 1)
 
 
 # Too few refinements to converge: the engine always performs at least
@@ -776,29 +803,31 @@ class TestAveragedIntegrand:
     # kernel each route samples at (n, x), are the oracles.
     CASES = [
         pytest.param(kernel, n, x, id=f"{kernel.__name__}-{n}-{x:g}")
-        for kernel in (_log_sinc_less_w2, _cot_less_w2, _cot_remainder)
+        for kernel in (_log_sinc_less_w2, _cot_less_pole)
         for n in ORDERS
         for x in (1e-4, 0.5, 0.9999, 1.0)
-        if (kernel is not _cot_less_w2 or n > 1) and (kernel is not _cot_remainder or n == 1 and x < 1.0)
+        if kernel is _log_sinc_less_w2 or (n, x) != (1, 1.0)  # the cot route diverges at (1, 1)
     ]
 
     @pytest.mark.parametrize("kernel, n, x", CASES)
     def test_matches_the_unskipped_integrand_bit_for_bit(self, kernel, n, x):
-        a = math.pi * x
+        a = x if kernel is _cot_less_pole else math.pi * x  # the cot kernel reads t = x u, log sinc w = pi x u
         fused = family._moment(family._beta_sum(n, kernel, a), DEFAULT_ACCURACY)
         naive = family._moment(pointwise(lambda u: n * (1.0 - u) ** (n - 1) * kernel(a * u)), DEFAULT_ACCURACY)
         assert fields(fused) == fields(naive)
-        # the route is that quadrature plus its kernel's w^2 term, whose moment is (pi x)^2/(3 (n+1)(n+2)) times
-        # 1 (log sinc), 2 (w cot w - 1) or 0 (the order-1 cot kernel, which keeps the term)
-        p, moment = GridPoint(n, x), a * a / (3.0 * (n + 1) * (n + 2))
-        if kernel is _log_sinc_less_w2 and (n, x) != (1, 1.0):  # the order-1 integral at x = 1 is a closed form
+        # the route is that quadrature plus its closed-form parts: log sinc's w^2 term, of moment
+        # (pi x)^2/(3 (n+1)(n+2)), or the cot kernel's pole, -4 + P + M for every n, and its t^2 term, of moment
+        # C2 x^2 2/((n+1)(n+2))
+        p = GridPoint(n, x)
+        if kernel is _cot_less_pole:
+            P, M = family._poles(n, x)
+            expected = family._from_remainder(-4.0 + P + M, 4.0 + P + M, naive, _C2 * x * x / (0.5 * (n + 1) * (n + 2)))
+            assert fields(family._derivative_cot(p, DEFAULT_ACCURACY)) == fields(expected)
+        elif (n, x) != (1, 1.0):  # the order-1 integral at x = 1 is a closed form
             h = harmonic(n)
             lead, size = family._leading(h, x), 2.0 * h + 2.0 * (family._LOG_2PI - math.log(x))
-            expected = family._from_remainder(lead, size, naive, moment)
+            expected = family._from_remainder(lead, size, naive, a * a / (3.0 * (n + 1) * (n + 2)))
             assert fields(family._integral(p, DEFAULT_ACCURACY)) == fields(expected)
-        elif kernel is not _log_sinc_less_w2:
-            expected = family._from_remainder(-2.0, 2.0, naive, 2.0 * moment if kernel is _cot_less_w2 else 0.0)
-            assert fields(family._derivative_cot(p, DEFAULT_ACCURACY)) == fields(expected)
 
     def test_kernel_not_called_where_the_weight_underflows(self):
         calls = []

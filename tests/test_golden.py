@@ -10,8 +10,11 @@ recorded again when every Beta-weighted quadrature began to take its
 kernel's w^2 term in closed form, with one rounding floor for the three
 routes that sum a Beta moment. The order-1 value at x = 1 was recorded again
 when it became the closed form 1 - log(2 pi), and the series route's row when
-it began to sum zeta(2m)'s 1s in closed form. A deliberate change of any of them is a
-change of the numbers the package prints, and must say so.
+it began to sum zeta(2m)'s 1s in closed form. The cotangent route's rows were
+recorded again when it began to take that same sine-product pole, -4 + P + M,
+in closed form and integrate only the rest, with one kernel for every order.
+A deliberate change of any of them is a change of the numbers the package
+prints, and must say so.
 """
 
 import pytest
@@ -26,9 +29,10 @@ PINNED = {
     # g(1, 1) = 1 - log(2 pi) in closed form (Cl_2(2 pi) = 0), with no quadrature
     ("integral", 1, 1.0): ("-0x1.acfe390c97d68p-1", "0x1.d67f1c864beb4p-48", 0),
     ("integral", 2, 1.0): ("-0x1.59fc72192facep-2", "0x1.c4f35844bf3b6p-47", 101),
-    ("derivative-cot", 5, 0.3): ("-0x1.fc5aa46fe528ap+0", "0x1.00837eaf18f29p-47", 101),
-    ("derivative-cot", 10**6, 0.5): ("-0x1.fffffffffe310p+0", "0x1.00000000c36f9p-47", 101),
-    ("derivative-cot", 2, 1.0): ("-0x1.000000000000dp+0", "0x1.bdd0eef9cd408p-48", 101),
+    ("derivative-cot", 5, 0.3): ("-0x1.fc5aa46fe5289p+0", "0x1.001cb2ee39174p-46", 101),
+    ("derivative-cot", 10**6, 0.5): ("-0x1.fffffffffe30dp+0", "0x1.00000000075c7p-46", 101),
+    # x = 1 from n = 2: M = n/(n-1) in closed form; x g'(2, 1) = -1
+    ("derivative-cot", 2, 1.0): ("-0x1.0000000000000p+0", "0x1.f2adccd23bf58p-47", 101),
     ("ladder", 40, 0.3): ("0x1.d2865752ac86fp+2", "0x1.803b85f621ddfp-45", 4040),
     # -4 + P + M + R: 1.4e-16 off the reference, within its rounding floor of 3.6e-15, in 7 terms of R
     ("derivative-series", 5, 0.3): ("-0x1.fc5aa46fe5289p+0", "0x1.00d5f1c2e2794p-48", 7),
@@ -37,12 +41,12 @@ PINNED = {
     ("integral", 30, 0.5): ("0x1.6ce2d34b95eb8p+2", "0x1.47820d8793513p-45", 101),
     ("integral", 100, 0.9999): ("0x1.acc4f0d49f906p+2", "0x1.75e0a10fc4572p-42", 101),
     ("integral", 10**4, 1e-4): ("0x1.128fa4deb4ffcp+5", "0x1.2ff796a719be7p-43", 101),
-    ("derivative-cot", 10**4, 0.5): ("-0x1.ffffffb95f2edp+0", "0x1.0073d6198b7dfp-47", 101),
-    ("derivative-cot", 10**6, 0.9999): ("-0x1.fffffffff8c46p+0", "0x1.0000000c3b253p-47", 101),
+    ("derivative-cot", 10**4, 0.5): ("-0x1.ffffffb95f2eep+0", "0x1.00116e2aa9b6dp-46", 101),
+    ("derivative-cot", 10**6, 0.9999): ("-0x1.fffffffff8c45p+0", "0x1.0000000076cb5p-46", 101),
     ("ladder", 100, 0.9999): ("0x1.acc4f0d49f907p+2", "0x1.4f155c40b3035p-38", 10300),
-    # the order-1 cotangent kernel: its weight is flat, and it keeps the plain w cot w - 1
-    ("derivative-cot", 1, 0.5): ("-0x1.b17217f7d1cf8p+0", "0x1.0200000000000p-47", 101),
-    ("derivative-cot", 1, 0.99): ("0x1.ce3602be3d938p+0", "0x1.738d80af8f64ep-46", 201),
+    # order 1, whose flat weight reads the kernel up to t = x: near x = 1 the pole taken in closed form
+    ("derivative-cot", 1, 0.5): ("-0x1.b17217f7d1cfap+0", "0x1.f9bee6691dfacp-47", 101),
+    ("derivative-cot", 1, 0.99): ("0x1.ce3602be3d972p+0", "0x1.66f16500948ebp-46", 101),
 }
 
 

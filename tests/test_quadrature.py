@@ -18,10 +18,11 @@ from logsine import (
     log_sin_kernel,
     weight,
 )
-from logsine.quadrature import _cot_less_w2, _level_nodes, _log_sinc_less_w2
+from logsine.quadrature import _cot_less_pole, _level_nodes, _log_sinc_less_w2
 
 # Apery's constant zeta(3), exact to double precision
 ZETA_3 = 1.2020569031595943
+PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
 
 def pointwise(g):
@@ -101,28 +102,51 @@ def test_kernels_reject_a_non_real_abscissa(call, message):
         call()
 
 
-def exact_remainders(w):
-    # log sinc w + w^2/6 and w cot w - 1 + w^2/3 at 60 digits, from the Taylor series of sin(w)/w and cos w
-    with localcontext() as ctx:
-        ctx.prec = 60
-        d2 = Decimal(w) ** 2
-        sinc = cos = Decimal(0)
-        term_s = term_c = Decimal(1)
-        for k in range(1, 60):
-            sinc, cos = sinc + term_s, cos + term_c
-            term_s *= -d2 / ((2 * k) * (2 * k + 1))
-            term_c *= -d2 / ((2 * k - 1) * (2 * k))
-        return sinc.ln() + d2 / 6, cos / sinc - 1 + d2 / 3
+def sin_cos(y):
+    # sin y and cos y from their Taylor series, at the context's precision
+    sin = cos = Decimal(0)
+    term_s, term_c = y, Decimal(1)
+    for k in range(1, 60):
+        sin, cos = sin + term_s, cos + term_c
+        term_s *= -y * y / ((2 * k) * (2 * k + 1))
+        term_c *= -y * y / ((2 * k - 1) * (2 * k))
+    return sin, cos
 
 
 @pytest.mark.parametrize("w", [1e-6, 1e-4, 1e-3, 0.0099, 0.0101, 0.1, 1.0, 2.0, 3.1])
-def test_kernels_less_their_w2_terms(w):
-    # below w = 1e-2 the series are accurate relative to the remainder; above it the quotient's rounding
+def test_log_sinc_less_its_w2_term(w):
+    # below w = 1e-2 the series is accurate relative to the remainder; above it the quotient's rounding
     # leaves an absolute error of a few eps against the size of the plain kernel's terms
     eps = sys.float_info.epsilon
-    for kernel, exact in zip((_log_sinc_less_w2, _cot_less_w2), exact_remainders(w)):
-        err = float(abs(Decimal(kernel(w)) - exact))
-        assert err <= (8 * eps * float(abs(exact)) if w < 1e-2 else 4 * eps * (1.0 + float(abs(exact)) + w * w))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = (sin_cos(Decimal(w))[0] / Decimal(w)).ln() + Decimal(w) ** 2 / 6
+    err = float(abs(Decimal(_log_sinc_less_w2(w)) - exact))
+    assert err <= (8 * eps * float(abs(exact)) if w < 1e-2 else 4 * eps * (1.0 + float(abs(exact)) + w * w))
+
+
+def exact_rho(t):
+    # pi t cot(pi t) - 1 + 2t^2/(1-t^2) + (pi^2/3 - 2) t^2 at 60 digits, with sin(pi t) = sin(pi s) and
+    # cos(pi t) = -cos(pi s), s = 1 - t, past t = 1/2, so that no digit of a small s is lost in pi t
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t = Decimal(t)
+        s = 1 - t
+        sin, cos = sin_cos(PI_60 * min(t, s))
+        cot = cos / sin if t <= s else -cos / sin
+        return PI_60 * t * cot - 1 + 2 * t * t / (s * (1 + t)) + (PI_60 * PI_60 / 3 - 2) * t * t
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-5, 0.99e-4, 1.01e-4, 1e-3, 1e-2, 0.1, 0.3, math.nextafter(0.5, 0.0), 0.5, 0.7,
+                               0.9] + [1.0 - 2.0**-k for k in range(2, 53)])
+def test_cot_kernel_less_its_pole(t):
+    # below t = 1e-4 the series -Z4 t^4 is accurate relative to rho up to its first omitted term, -2 (zeta(6) - 1) t^6.
+    # Above it the quotient's rounding leaves an absolute error of about eps; from t = 1/2 on, the quotient and the
+    # pole, each about t/s in size, cancel and leave about eps t/s, which the weight (1-u)^(n-1) takes at x = 1
+    eps = sys.float_info.epsilon
+    exact = exact_rho(t)
+    err = float(abs(Decimal(_cot_less_pole(t)) - exact))
+    assert err <= (8 * eps * float(abs(exact)) + 0.25 * t**6 if t < 1e-4 else 2 * eps * (1.0 + t / (1.0 - t)))
 
 
 def test_kernels_take_any_real_abscissa():
