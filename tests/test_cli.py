@@ -476,6 +476,25 @@ class TestAudit:
         assert rows[0]["audit"] == "table"
         assert "summary" in rows[-1]
 
+    @pytest.mark.parametrize(
+        "name,header",
+        [
+            ("table", "audit,n,x,paper_series_value,paper_integral_value,computed_value,residual_vs_paper,quad_err"),
+            ("small-x", "audit,n,x,value,value_over_x2,reference,gap,quad_err"),
+            ("large-n", "audit,n,x,value,n_times_value,reference,gap,quad_err"),
+        ],
+    )
+    def test_headers(self, capsys, name, header):
+        # each audit's csv header, and the keys of its json-lines rows, name its columns in order
+        code, out, _ = run(capsys, "audit", "--only", name, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[0] == header
+        code, out, _ = run(capsys, "audit", "--only", name, "--format", "json-lines")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [",".join(record) for record in records[:-1]] == [header] * (len(records) - 1)
+        assert list(records[-1]) == ["audit", "summary"]
+
 
 def run_python(code):
     # a fresh interpreter, which finds logsine where this one did
