@@ -69,26 +69,16 @@ VERIFY_RUNNERS = {
     ID_BERNOULLI_ZETA: lambda acc: check_bernoulli_zeta(acc=acc),
 }
 
-# Audits runnable by `audit`, in emission order, with the columns each
-# prints after "audit". A column names an attribute of the audit's rows,
-# except that the asymptotic audits print `scaled` under a name that says
-# how it was scaled. The lambdas look the audit functions up at call time.
+# Audits runnable by `audit`, in emission order. Each prints its rows'
+# fields after "audit", except that the asymptotic audits print `scaled`
+# under the name given here, which says how it was scaled. The lambdas look
+# the audit functions up at call time.
 _AUDITS = {
-    "table": (
-        lambda ns, acc: audit_table(acc),
-        ("n", "x", "paper_series_value", "paper_integral_value", "computed_value", "residual_vs_paper", "quad_err"),
-    ),
-    "small-x": (
-        lambda ns, acc: audit_small_x(n=ns.n, acc=acc),
-        ("n", "x", "value", "value_over_x2", "reference", "gap", "quad_err"),
-    ),
-    "large-n": (
-        lambda ns, acc: audit_large_n(x=ns.x, acc=acc),
-        ("n", "x", "value", "n_times_value", "reference", "gap", "quad_err"),
-    ),
+    "table": (lambda ns, acc: audit_table(acc), None),
+    "small-x": (lambda ns, acc: audit_small_x(n=ns.n, acc=acc), "value_over_x2"),
+    "large-n": (lambda ns, acc: audit_large_n(x=ns.x, acc=acc), "n_times_value"),
 }
 AUDIT_NAMES = tuple(_AUDITS)
-_SCALED_COLUMNS = ("value_over_x2", "n_times_value")
 
 
 def fmt(value) -> str:
@@ -235,13 +225,11 @@ def cmd_audit(ns) -> int:
     selected = _split_selection(ns.only, AUDIT_NAMES, "audit name") if ns.only else AUDIT_NAMES
     chunks = []
     for kind in selected:
-        run, columns = _AUDITS[kind]
+        run, scaled = _AUDITS[kind]
         audit = run(ns, acc)
+        columns = tuple(scaled if c == "scaled" else c for c in audit.rows[0]._fields)
         header = ("audit",) + columns
-        rows = [
-            (kind, *(getattr(r, "scaled" if c in _SCALED_COLUMNS else c) for c in columns))
-            for r in audit.rows
-        ]
+        rows = [(kind, *r) for r in audit.rows]
         if ns.format == "csv":
             chunks.append(_csv_text(header, rows))
             continue

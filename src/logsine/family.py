@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_point, _require_accuracy, _require_int
 from .errors import DomainError, NonConvergenceError
 from .quadrature import Evaluation, _checked, from_samples, integrate_de
-from .quadrature import _C2, _cot_less_pole, _log_sinc, _log_sinc_less_w2
+from .quadrature import _C2, _cot_less_pole, _log_sinc_less_w2
 from .sequences import harmonic, zeta_even
 
 METHOD_INTEGRAL = "integral"
@@ -105,22 +105,22 @@ class _SincRow(dict):  # w -> log sinc(w) + w^2/6, taken once per w: every order
         return value
 
 
-def _require_float_order(n: int) -> None:
-    # the quadrature routes take n, n + 1 and n + 2 as floats
+def _quadrature(n: int, kernel, a: float, acc: Accuracy, step: bool = False) -> Evaluation:
+    # _beta_sum's moment. Routes take n, n + 1 and n + 2 as floats only after it has refused an order past that range
     if n + 2 > sys.float_info.max:
         raise DomainError("n must satisfy n + 2 <= 1.797e308 (the largest float) on the quadrature routes")
+    return _moment(_beta_sum(n, kernel, a, step), acc)
 
 
 def _integral(p: GridPoint, acc: Accuracy, row=None) -> Evaluation:
     # 2 H_n - 2 log(2 pi x) - q, q = n int_0^1 (1-u)^(n-1) log sinc(pi x u) du; the kernel's w^2 term -w^2/6 has moment
     # -(pi x)^2 / (3 (n+1)(n+2)). row, if given, is the kernel of a _SincRow at x that the caller shares across orders
     n, x = p.n, p.x
-    _require_float_order(n)
     if n == 1 and x == 1.0:  # g(1, x) = 1 - log(2 pi x) + Cl_2(2 pi x) / (2 pi x), and Cl_2(2 pi) = 0
         return _from_remainder(1.0 - _LOG_2PI, 1.0 + _LOG_2PI, Evaluation(0.0, 0.0, 0, True), 0.0)
     a = math.pi * x
+    q = _quadrature(n, row or _log_sinc_less_w2, a, acc)
     moment = a * a / (3.0 * (n + 1) * (n + 2))
-    q = _moment(_beta_sum(n, row or _log_sinc_less_w2, a), acc)
     h = harmonic(n)
     return _from_remainder(_leading(h, x), 2.0 * h + 2.0 * (_LOG_2PI - math.log(x)), q, moment)
 
@@ -130,12 +130,12 @@ def _derivative_cot(p: GridPoint, acc: Accuracy) -> Evaluation:
     # -2t^2/(1-t^2), t = xu, the sine product's k = 1 pole, has moment 2 - P - M, and R = -n int_0^1 (1-u)^(n-1) rho(xu)
     # du + C2 x^2 2/((n+1)(n+2)), as rho (quadrature._cot_less_pole) is the kernel less that part and its t^2 term
     n, x = p.n, p.x
-    _require_float_order(n)
     if n == 1 and x == 1.0:
         raise DomainError("the derivative diverges like log(1-x) at n = 1, x = 1")
+    q = _quadrature(n, _cot_less_pole, x, acc)
     P, M = _poles(n, x)
     moment = _C2 * x * x / (0.5 * (n + 1) * (n + 2))
-    return _from_remainder(-4.0 + P + M, 4.0 + P + M, _moment(_beta_sum(n, _cot_less_pole, x), acc), moment)
+    return _from_remainder(-4.0 + P + M, 4.0 + P + M, q, moment)
 
 
 def _ratio_sum(a: float, j: int, c: int) -> float:
@@ -187,12 +187,11 @@ def _derivative_series(p: GridPoint, acc: Accuracy) -> Evaluation:
 def _ladder_delta(n: int, x: float, acc: Accuracy, row=None) -> Evaluation:
     # 2/(n+1) - int_0^1 K log sinc(pi x u) du: the step kernel K = (n+1)(1-u)^n - n(1-u)^(n-1) has log moment
     # -1/(n+1), and int_0^1 K u^2 du = -4/((n+1)(n+2)(n+3)) gives the w^2 term the moment 2 (pi x)^2/(3 (n+1)(n+2)(n+3))
-    _require_float_order(n)
     if n == 1 and x == 1.0:  # g(2, 1) - g(1, 1): the Clausen terms vanish at x = 1, and H_2 - H_1 = 1/2
         return _from_remainder(0.5, 0.5, Evaluation(0.0, 0.0, 0, True), 0.0)
     a = math.pi * x
+    q = _quadrature(n, row or _log_sinc_less_w2, a, acc, step=True)
     moment = -2.0 * a * a / (3.0 * (n + 1) * (n + 2) * (n + 3))
-    q = _moment(_beta_sum(n, row or _log_sinc_less_w2, a, step=True), acc)
     lead = 2.0 / (n + 1)
     return _from_remainder(lead, lead, q, moment)
 
@@ -311,9 +310,9 @@ def genfunc_closed(q: GenfuncPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """
     q = q if type(q) is GenfuncPoint else _as_point(GenfuncPoint, q)
     x, z = q.x, q.z
-    # the kernel's mass z/(1-z) and log moment log(1-z)/(1-z) are closed forms
-    quad = _moment(from_samples(
-        lambda us: [_log_sinc(math.pi * x * u) * z / ((d := 1.0 - z * (1.0 - u)) * d) for u in us]), acc)
+    # the kernel's mass z/(1-z) and log moment log(1-z)/(1-z) are closed forms; the samples are log sinc itself
+    quad = _moment(from_samples(lambda us: [(_log_sinc_less_w2(w := math.pi * x * u) - w * w / 6.0) * z
+                                            / ((d := 1.0 - z * (1.0 - u)) * d) for u in us]), acc)
     closed = -2.0 * (z / (1.0 - z)) * (_LOG_2PI + math.log(x)) - 2.0 * math.log1p(-z) / (1.0 - z)
     return _checked(quad._replace(value=closed - quad.value)).value
 

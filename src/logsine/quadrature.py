@@ -93,14 +93,6 @@ def weight(n: int, u: float) -> float:
     return float(n) * (1.0 - u) ** (n - 1)
 
 
-def _log_sinc(w: float) -> float:
-    # log(sin w / w), 0 <= w < pi: log(2 sin w) less log(2w); no range checks
-    w2 = w * w
-    if w < _REMAINDER_SERIES_CUTOFF:
-        return -w2 * (1.0 / 6.0 + w2 * (1.0 / 180.0 + w2 * (1.0 / 2835.0 + w2 / 37800.0)))
-    return math.log(math.sin(w) / w)
-
-
 def _log_sinc_less_w2(w: float) -> float:
     # log sinc w + w^2/6, 0 <= w < pi: log sinc less its w^2 term, whose moments the routes take in closed form
     w2 = w * w
