@@ -56,15 +56,18 @@ _GAMMA_FIXED = 0x93C467E37DB0C7A4D1BE3F810152CB56A1CECC3B
 
 
 def harmonic(n: int) -> float:
-    """Harmonic number sum_{k=1..n} 1/k, correctly rounded: a compensated sum
-    below n = 100, then log n + gamma + 1/(2n) - sum_k B_2k / (2k n^(2k)),
-    first in doubles with a rigorous error bound, and in 160-bit integer
-    fixed point only where that bound straddles a rounding boundary or
-    n > 2^53 (Ziv's strategy)."""
+    """Harmonic number sum_{k=1..n} 1/k, correctly rounded: below n = 100
+    the exact rational, rounded once; from there log n + gamma + 1/(2n) -
+    sum_k B_2k / (2k n^(2k)), first in doubles with a rigorous error bound,
+    and in 160-bit integer fixed point only where that bound straddles a
+    rounding boundary or n > 2^53 (Ziv's strategy)."""
     _require_int("n", n, 1)
     n = operator.index(n)
-    if n < 100:
-        return math.fsum(1.0 / k for k in range(1, n + 1))
+    if n < 100:  # p/q = H_k, q = k!, as ints: int / int rounds once, where a sum of rounded 1/k can miss by an ulp
+        p, q = 0, 1
+        for k in range(1, n + 1):
+            p, q = p * k + q, q * k
+        return p / q
     if n <= 2**53:  # float(n) is exact
         # n = f 2^k with f in [0.75, 1.5): f - 1 is exact and log n = k ln 2 + log1p(f - 1)
         f, k = math.frexp(n)

@@ -63,7 +63,7 @@ class TestHarmonic:
         # 7381/2520 evaluated exactly, then rounded once
         assert harmonic(10) == 2.9289682539682538
 
-    # the compensated sum below n = 100, the asymptotic expansion from it
+    # the exact rational below n = 100, the asymptotic expansion from it
     @pytest.mark.parametrize("n", [3, 7, 25, 99, 100, 101, 999, 10_001])
     def test_matches_exact_rational_sum(self, n):
         exact = sum(Fraction(1, k) for k in range(1, n + 1))
@@ -78,14 +78,13 @@ class TestHarmonic:
         with pytest.raises(DomainError):
             harmonic(-3)
 
-    def test_matches_exact_rational_sum_from_90_to_30001(self):
+    def test_matches_exact_rational_sum_from_1_to_30001(self):
         # H_k = num / den with den = lcm(1..k), so each int / int is the exactly rounded H_k
         num, den = 0, 1
         for k in range(1, 30_002):
             g = math.gcd(den, k)
             num, den = num * (k // g) + den // g, den * (k // g)
-            if k >= 90:
-                assert harmonic(k) == num / den, k
+            assert harmonic(k) == num / den, k
 
     def test_fast_path_matches_decimal_route(self):
         for n in _log_uniform_orders():
