@@ -37,8 +37,12 @@ def _is_real(value) -> bool:
 
 
 def _require_tolerance(name: str, value) -> None:
-    # a NaN tolerance is never met and an infinite one always is
-    if not _is_real(value) or not 0.0 < value < math.inf:
+    # a NaN tolerance is never met and an infinite one always is; one past the float range overflows where it is used
+    try:
+        usable = _is_real(value) and value > 0 and math.isfinite(value)
+    except OverflowError:
+        usable = False
+    if not usable:
         raise DomainError(f"{name} must be finite and strictly positive")
 
 
@@ -112,7 +116,8 @@ class Accuracy(namedtuple("Accuracy", "quad_rel_tol series_abs_tol max_quad_refi
     ):
         _require_tolerance("quad_rel_tol", quad_rel_tol)
         _require_tolerance("series_abs_tol", series_abs_tol)
-        _require_int("max_quad_refinements", max_quad_refinements, 1, MAX_QUAD_REFINEMENTS)
+        # the engine refines at least three times before it may stop, so a smaller budget could never converge
+        _require_int("max_quad_refinements", max_quad_refinements, 3, MAX_QUAD_REFINEMENTS)
         return super().__new__(cls, quad_rel_tol, series_abs_tol, max_quad_refinements)
 
 

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +146,14 @@ class TestAccuracy:
             ("max_quad_refinements", 2.5),
             ("max_quad_refinements", True),
             ("max_quad_refinements", 0),
+            # the engine refines at least three times before it may stop: these budgets could never converge
+            ("max_quad_refinements", 1),
+            ("max_quad_refinements", 2),
+            # a tolerance that converts to no finite float overflows where it is used
+            ("quad_rel_tol", 10**400),
+            ("series_abs_tol", 10**400),
+            ("quad_rel_tol", Fraction(10**400)),
+            ("series_abs_tol", Decimal("1e400")),
             # the engine caches every level it reaches, so a runaway budget is refused before any work
             ("max_quad_refinements", MAX_QUAD_REFINEMENTS + 1),
         ],
@@ -248,10 +257,11 @@ class TestIntegersPastTheFloatRange:
             check_bernoulli_zeta(BERNOULLI_MAX_INDEX + 1)
 
 
-# Too few refinements to converge: the engine always performs at least
-# three, so every quadrature runs out of budget after 51 samples, yet the
-# smooth remainders leave its best estimate accurate.
-STARVED = Accuracy(max_quad_refinements=2)
+# Too few refinements to converge: the fewest the engine takes, to a
+# tolerance that levels 2 and 3 do not meet, so every quadrature runs out of
+# budget after 101 samples, yet the smooth remainders leave its best
+# estimate accurate.
+STARVED = Accuracy(quad_rel_tol=1e-300, max_quad_refinements=3)
 
 
 class TestNonConvergence:
@@ -286,8 +296,9 @@ class TestNonConvergence:
         assert excinfo.value.result.evaluations == sum(samples)
 
     def test_genfunc_error_carries_its_own_best_estimate(self):
-        # the payload is the generating function's value, not its remainder integral
-        q = GenfuncPoint(0.5, 0.5)
+        # the payload is the generating function's value, not its remainder integral. At (0.5, 0.5) levels 2 and 3
+        # agree exactly, which meets any tolerance
+        q = GenfuncPoint(0.3, 0.5)
         with pytest.raises(NonConvergenceError) as excinfo:
             genfunc_closed(q, STARVED)
         best = excinfo.value.result
