@@ -46,9 +46,10 @@ class Evaluation(namedtuple("Evaluation", "value err_estimate evaluations conver
     node of every level used, sampled or not) or series terms it took, and
     whether every quadrature behind it met its tolerance.
 
-    For one integral, err_estimate is the absolute difference between the
-    last two refinement levels; on convergence it satisfies
-    err_estimate <= quad_rel_tol * max(|value|, 1).
+    For a bare integrate_de result, err_estimate is the absolute difference
+    between the last two refinement levels; on convergence it satisfies
+    err_estimate <= quad_rel_tol * max(|value|, 1). A route's estimate adds
+    its rounding floor; the series route's is its proven tail plus that floor.
     """
 
     __slots__ = ()
