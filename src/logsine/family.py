@@ -10,9 +10,9 @@ integrates a smooth remainder and takes its endpoint terms in closed form; a
 Beta-weighted quadrature also drops its kernel's w^2 term and adds its exact moment.
 
 The other routes (scaled derivative via cotangent averages or via the
-even-zeta series, the ladder recursion in n, the generating function in z)
-are theorems about this definition; the verify module quantifies how well
-each one holds numerically.
+even-zeta series, the ladder recursion in n, whose step is -x g'(n+1, x)/(n+1),
+the generating function in z) are theorems about this definition; the verify
+module quantifies how well each one holds numerically.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ METHOD_DERIVATIVE_COT = "derivative-cot"
 METHOD_DERIVATIVE_SERIES = "derivative-series"
 METHODS = (METHOD_INTEGRAL, METHOD_LADDER, METHOD_DERIVATIVE_COT, METHOD_DERIVATIVE_SERIES)
 
-# highest order the ladder climbs to: one quadrature per rung, ~100 us each,
-# so a climb ends in about a second
+# highest order the ladder climbs to: one series evaluation per rung (at x = 1 a
+# cot quadrature, ~50 us), so a climb ends in about half a second
 LADDER_MAX_ORDER = 10_000
 
 _EPS = math.ulp(1.0)
@@ -52,8 +52,8 @@ def _from_remainder(lead: float, size: float, q: Evaluation, moment: float) -> E
     # Rounding floor c eps (size + |q| + |value|), where size bounds lead's terms. lead errs by <= 2.5 eps size, moment
     # (5 roundings) by <= 4 eps |moment| <= 4 eps (size + |q| + |value|) and the subtractions by eps/2 (|q| + |moment|
     # + |value|): c = 7. The samples' own rounding has no such bound near w = pi (t = 1), nor the cot route's P + M
-    # (a few eps of itself); c = 8 adds 1 for them, as no value or step of perfbench/reference.json needs more than
-    # c = 2.3 in all (the order-1 step near x = 1; 0.86 on the cot route)
+    # (a few eps of itself); c = 8 adds 1 for them, as no g or x g' value of perfbench/reference.json needs more than
+    # c = 1.08 in all (g(1, 0.9998) on the integral route; 0.86 at x g'(2, 0.425) on the cot route)
     value = lead - (q.value - moment)
     return q._replace(value=value, err_estimate=q.err_estimate + 8.0 * _EPS * (size + abs(q.value) + abs(value)))
 
@@ -67,22 +67,21 @@ def _moment(integrand, acc: Accuracy) -> Evaluation:
         return exc.result
 
 
-def _beta_sum(n: int, kernel, a: float, step: bool = False):
-    # (us, dudts) -> one level's Kahan sum, in ascending u, of c (1-u)^(n-1) kernel(a u) du/dt, c = n or, for the
-    # ladder step, (n+1)(1-u) - n. The weight falls as u rises: from its first underflow to 0.0 every sample is
-    # +-0.0, so the loop stops there, without calling the kernel, and folds those zeros into the sum
+def _beta_sum(n: int, kernel, a: float):
+    # (us, dudts) -> one level's Kahan sum, in ascending u, of n (1-u)^(n-1) kernel(a u) du/dt. The weight falls as u
+    # rises: from its first underflow to 0.0 every sample is +-0.0, so the loop stops there, without calling the
+    # kernel, and folds those zeros into the sum
     m = n - 1
 
     def level(us: tuple[float, ...], dudts: tuple[float, ...]) -> float:
         total = comp = 0.0
         stop = len(us)
         for u, dudt in zip(us, dudts):
-            v = 1.0 - u
-            w = v ** m
+            w = (1.0 - u) ** m
             if not w:
                 stop = us.index(u)
                 break
-            y = ((n + 1) * v - n if step else n) * w * kernel(a * u) * dudt - comp
+            y = n * w * kernel(a * u) * dudt - comp
             t = total + y
             comp = (t - total) - y
             total = t
@@ -92,7 +91,7 @@ def _beta_sum(n: int, kernel, a: float, step: bool = False):
                 break
             total, comp = t, (t - total) + comp
         if not math.isfinite(total):  # as a non-finite sample leaves it: from_samples names the first
-            head = [((n + 1) * (1.0 - u) - n if step else n) * (1.0 - u) ** m * kernel(a * u) for u in us[:stop]]
+            head = [n * (1.0 - u) ** m * kernel(a * u) for u in us[:stop]]
             return from_samples(lambda us: head + [0.0] * (len(us) - stop))(us, dudts)
         return total
 
@@ -105,11 +104,15 @@ class _SincRow(dict):  # w -> log sinc(w) + w^2/6, taken once per w: every order
         return value
 
 
-def _quadrature(n: int, kernel, a: float, acc: Accuracy, step: bool = False) -> Evaluation:
-    # _beta_sum's moment. Routes take n, n + 1 and n + 2 as floats only after it has refused an order past that range
+def _require_float_order(n: int) -> None:
+    # routes take n, n + 1 and n + 2 as floats only after this has refused an order past that range
     if n + 2 > sys.float_info.max:
-        raise DomainError("n must satisfy n + 2 <= 1.797e308 (the largest float) on the quadrature routes")
-    return _moment(_beta_sum(n, kernel, a, step), acc)
+        raise DomainError("n must satisfy n + 2 <= 1.797e308 (the largest float) on the quadrature and ladder routes")
+
+
+def _quadrature(n: int, kernel, a: float, acc: Accuracy) -> Evaluation:
+    _require_float_order(n)
+    return _moment(_beta_sum(n, kernel, a), acc)
 
 
 def _integral(p: GridPoint, acc: Accuracy, row=None) -> Evaluation:
@@ -184,16 +187,14 @@ def _derivative_series(p: GridPoint, acc: Accuracy) -> Evaluation:
     return Evaluation(value, tail + 2.0 * _EPS * (4.0 + P + M + R + abs(value)), len(terms), True)
 
 
-def _ladder_delta(n: int, x: float, acc: Accuracy, row=None) -> Evaluation:
-    # 2/(n+1) - int_0^1 K log sinc(pi x u) du: the step kernel K = (n+1)(1-u)^n - n(1-u)^(n-1) has log moment
-    # -1/(n+1), and int_0^1 K u^2 du = -4/((n+1)(n+2)(n+3)) gives the w^2 term the moment 2 (pi x)^2/(3 (n+1)(n+2)(n+3))
+def _ladder_delta(n: int, x: float, acc: Accuracy) -> Evaluation:
+    # g(n+1, x) - g(n, x) = -d/(n+1), d = x g'(n+1, x) (q_(n+1) by parts) from the series route, or the cot route at
+    # x = 1. The division and n + 1 as a float each round by <= eps/2 of the step: eps |d|/(n+1) covers them
     if n == 1 and x == 1.0:  # g(2, 1) - g(1, 1): the Clausen terms vanish at x = 1, and H_2 - H_1 = 1/2
         return _from_remainder(0.5, 0.5, Evaluation(0.0, 0.0, 0, True), 0.0)
-    a = math.pi * x
-    q = _quadrature(n, row or _log_sinc_less_w2, a, acc, step=True)
-    moment = -2.0 * a * a / (3.0 * (n + 1) * (n + 2) * (n + 3))
-    lead = 2.0 / (n + 1)
-    return _from_remainder(lead, lead, q, moment)
+    _require_float_order(n)
+    d = (_derivative_series if x < 1.0 else _derivative_cot)(GridPoint(n + 1, x), acc)
+    return d._replace(value=-d.value / (n + 1), err_estimate=(d.err_estimate + _EPS * abs(d.value)) / (n + 1))
 
 
 def _require_climbable(n: int) -> None:
@@ -202,10 +203,10 @@ def _require_climbable(n: int) -> None:
 
 
 def _scale(x: float, acc: Accuracy) -> SimpleNamespace:
-    # checked routes at one x over one _SincRow: g(n) evaluates each order once, step(n) is the ladder
-    # step from n, and rung(n) extends one climb from g(1) as far as asked, so every rung sums as a
-    # climb that stops there would. A raised error is not kept. Routes are looked up by their
-    # module-global names at each call, so a wrapper put there (perfbench/spans.py) sees every one.
+    # checked routes at one x: g(n) evaluates each order once over one _SincRow, and rung(n) extends one climb
+    # from g(1) as far as asked, so every rung sums as a climb that stops there would. A raised error is not kept.
+    # Routes are looked up by their module-global names at each call, so a wrapper put there (perfbench/spans.py)
+    # sees every one.
     row = _SincRow().__getitem__
     integral = cache(lambda n: _integral(GridPoint(n, x), acc, row=row))
     path: list[Evaluation] = []
@@ -215,7 +216,7 @@ def _scale(x: float, acc: Accuracy) -> SimpleNamespace:
         if not path:
             path.append(integral(1))
         while len(path) < n:
-            below, step = path[-1], _ladder_delta(len(path), x, acc, row=row)
+            below, step = path[-1], _ladder_delta(len(path), x, acc)
             path.append(Evaluation(
                 below.value + step.value,
                 below.err_estimate + step.err_estimate,
@@ -224,9 +225,7 @@ def _scale(x: float, acc: Accuracy) -> SimpleNamespace:
             ))
         return _checked(path[n - 1])
 
-    return SimpleNamespace(
-        g=lambda n: _checked(integral(n)), step=lambda n: _checked(_ladder_delta(n, x, acc, row=row)), rung=rung
-    )
+    return SimpleNamespace(g=lambda n: _checked(integral(n)), rung=rung)
 
 
 def evaluate(
@@ -291,6 +290,7 @@ def ladder_delta(n: int, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """Step of the ladder recursion, g(n+1, x) - g(n, x):
 
         1/(n+1) - int_0^1 [(n+1)(1-u)^n - n(1-u)^(n-1)] log(2 sin(pi x u)) du
+          = -x g'(n+1, x)/(n+1)   (by parts; the series route, or the cotangent route at x = 1)
     """
     p = GridPoint(n, x)
     _require_accuracy(acc)

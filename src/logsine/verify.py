@@ -42,7 +42,7 @@ from .family import (
     genfunc_closed,
     genfunc_partial,  # noqa: F401  perfbench/spans.py wraps it here
     genfunc_tail_bound,  # noqa: F401  perfbench/spans.py wraps it here
-    ladder_delta,  # noqa: F401  perfbench/spans.py wraps it here
+    ladder_delta,
 )
 from .sequences import BERNOULLI_MAX_INDEX, harmonic, zeta_even_bernoulli, zeta_even_direct
 
@@ -190,13 +190,13 @@ def check_derivative(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = D
 
 
 def check_ladder(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
-    """Direct difference g(n+1, x) - g(n, x) against the single-integral
-    ladder step; tolerance 1e-8 from the three quadrature budgets involved."""
+    """Direct difference g(n+1, x) - g(n, x) against the step -x g'(n+1, x)/(n+1) of the series route (the
+    cotangent route at x = 1); tolerance 1e-8 from the budgets of two quadratures and the step."""
     scale = cache(lambda x: family._scale(x, acc))  # each g(n, x) once: an interior one ends one difference and starts the next
     return _run(
         ID_LADDER, _coerce_grid(grid), _POINT_LABEL,
-        lambda p: abs(scale(p.x).g(p.n + 1).value - scale(p.x).g(p.n).value - scale(p.x).step(p.n).value),
-        TOL_LADDER, lambda: f"tolerance from the error budget of three {acc.quad_rel_tol:g} quadratures", acc,
+        lambda p: abs(scale(p.x).g(p.n + 1).value - scale(p.x).g(p.n).value - ladder_delta(p.n, p.x, acc)),
+        TOL_LADDER, lambda: f"tolerance from the error budget of two {acc.quad_rel_tol:g} quadratures and one step", acc,
     )
 
 

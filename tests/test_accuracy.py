@@ -142,7 +142,7 @@ def test_ladder_route_error_estimate_is_a_bound(reference):
 
 
 def test_ladder_step_error_estimate_is_a_bound(reference):
-    # every step g(n+1) - g(n), n <= 100, that the table holds both ends of, over one shared row per x
+    # every step g(n+1) - g(n), n <= 100, that the table holds both ends of
     table = {}
     for key, text in reference["g"].items():
         n, x = key.split("|")
@@ -150,11 +150,10 @@ def test_ladder_step_error_estimate_is_a_bound(reference):
             table.setdefault(float(x), {})[int(n)] = Fraction(text)
     steps = violations = 0
     for x, g in table.items():
-        step = family._scale(x, DEFAULT_ACCURACY).step
         for n in sorted(k for k in g if k <= 100 and k + 1 in g):
-            ev = step(n)
+            ev = family._ladder_delta(n, x, DEFAULT_ACCURACY)
             steps += 1
-            assert ev.err_estimate > 0.0
+            assert ev.converged and ev.err_estimate > 0.0
             violations += float(abs(Fraction(ev.value) - (g[n + 1] - g[n]))) > ev.err_estimate + 4 * EPS * abs(ev.value)
     assert (steps, violations) == (10582, 0)
 

@@ -287,9 +287,9 @@ class TestTableLadderClimb:
         steps = []
         step = family._ladder_delta
 
-        def counting(n, x, acc, row=None):
+        def counting(n, x, acc):
             steps.append(x)
-            return step(n, x, acc, row=row)
+            return step(n, x, acc)
 
         monkeypatch.setattr(family, "_ladder_delta", counting)
         code, _ = table_rows(monkeypatch, "--n-list", "3,1,2,3", "--x-list", "0.5,0.5,0.25")
@@ -319,7 +319,7 @@ class TestTableLadderClimb:
             assert ladder == evaluate(GridPoint(n, x), method="ladder").value
 
     def test_climb_reads_the_integral_columns_first_order(self, monkeypatch):
-        # per x: 10 orders of g, and 9 steps above rung 1, which is g(1, x) itself
+        # per x: 10 orders of g; the climb's rung 1 is g(1, x) itself, and its 9 steps above it are series sums
         calls = []
         integrate_de = family.integrate_de
 
@@ -330,7 +330,7 @@ class TestTableLadderClimb:
         monkeypatch.setattr(family, "integrate_de", counting)
         code, _ = table_rows(monkeypatch, "--n-list", "1,2,3,4,5,6,7,8,9,10", "--x-list", "0.3,0.7")
         assert code == 0
-        assert len(calls) == 2 * (10 + 9) == 38
+        assert len(calls) == 2 * 10
 
     def test_starved_table_keeps_its_warnings(self, capsys, monkeypatch):
         # only the order-5 integrals run out of budget
@@ -382,7 +382,7 @@ class TestVerify:
         argv = ("verify", "--only", "ladder_vs_diff") + (("--quad-tol", tol) if tol != "1e-12" else ())
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert f"notes: tolerance from the error budget of three {tol} quadratures" in out
+        assert f"notes: tolerance from the error budget of two {tol} quadratures and one step" in out
 
     def test_path_equivalence_is_gone_exit_2(self, capsys):
         # its residual telescoped into ladder_vs_diff's: verify knows the five default ids only

@@ -1,12 +1,13 @@
 """The committed counter ledger: the work each headline command takes.
 
 tests/counters.json records, for each default check and the default
-`verify`, each audit, `table` 40x8 and three routes over every point of
-perfbench/reference.json, how many quadratures ran (integrals), how many
-abscissae they took (samples) and how many series terms the series route
-summed. The counts are deterministic, so the test compares them exactly: a
-change that moves work rewrites the file in the same commit, and its diff
-shows by how much. To rewrite it:
+`verify`, each audit, `table` 40x8, three routes over every point of
+perfbench/reference.json and the ladder route's climbs to its points up to
+n = 100, how many quadratures ran (integrals), how many abscissae they took
+(samples) and how many series terms the series route summed. The counts are
+deterministic, so the test compares them exactly: a change that moves work
+rewrites the file in the same commit, and its diff shows by how much. To
+rewrite it:
 
     PYTHONPATH=src python tests/test_counters.py
 """
@@ -18,13 +19,12 @@ from pathlib import Path
 
 import logsine.family as family
 import logsine.verify as verify
-from logsine import GridPoint, NonConvergenceError, cli, evaluate
+from logsine import DEFAULT_ACCURACY, GridPoint, NonConvergenceError, cli, evaluate
 
 LEDGER = Path(__file__).resolve().with_name("counters.json")
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 TABLE_40x8 = ("table", "--n-list", ",".join(map(str, range(1, 41))),
               "--x-list", "0.125,0.25,0.375,0.5,0.625,0.75,0.875,1", "--format", "csv")
-# the ladder route is left out: its climbs take most of the time all routes take over the lattice
 LATTICE_ROUTES = (("integral", "g"), ("derivative-cot", "dg"), ("derivative-series", "dg"))
 
 
@@ -87,6 +87,16 @@ def lattice(route: str, table: dict) -> None:
             evaluate(GridPoint(int(n), float(x)), method=route)
 
 
+def ladder_lattice(table: dict) -> None:
+    # one climb per x, to every order n <= 100 the table holds a value at: each rung extends the climb below it, where
+    # evaluate would climb again from n = 1 at every point
+    climbs = {}
+    for key, text in table.items():
+        n, x = key.split("|")
+        if text is not None and int(n) <= 100:
+            climbs.setdefault(x, family._scale(float(x), DEFAULT_ACCURACY)).rung(int(n))
+
+
 def ledger() -> dict:
     entries = {}
     for identity_id in cli.IDENTITY_IDS:
@@ -98,6 +108,7 @@ def ledger() -> dict:
     reference = json.loads(REFERENCE.read_text())
     for route, table in LATTICE_ROUTES:
         entries[f"lattice {route}"] = counted(lambda: lattice(route, reference[table]))
+    entries["lattice ladder"] = counted(lambda: ladder_lattice(reference["g"]))
     return entries
 
 

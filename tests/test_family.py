@@ -276,6 +276,7 @@ class TestNonConvergence:
         assert best.value == pytest.approx(evaluate(p, method=method).value, abs=1e-9)
 
     def test_ladder_evaluations_count_every_rung(self, monkeypatch):
+        # rung 3 is g(1, x), the climb's one quadrature, plus two steps, each a series sum
         samples = []
         engine = family.integrate_de
 
@@ -292,8 +293,9 @@ class TestNonConvergence:
         monkeypatch.setattr(family, "integrate_de", counting)
         with pytest.raises(NonConvergenceError) as excinfo:
             evaluate(GridPoint(3, 0.5), method="ladder", acc=STARVED)
-        assert len(samples) == 3
-        assert excinfo.value.result.evaluations == sum(samples)
+        terms = sum(family._derivative_series(GridPoint(n, 0.5), STARVED).evaluations for n in (2, 3))
+        assert len(samples) == 1
+        assert excinfo.value.result.evaluations == samples[0] + terms
 
     def test_genfunc_error_carries_its_own_best_estimate(self):
         # the payload is the generating function's value, not its remainder integral. At (0.5, 0.5) levels 2 and 3
@@ -339,10 +341,14 @@ class TestLadderCap:
         assert calls == []
 
     def test_the_cap_itself_is_climbed(self, monkeypatch):
-        # a stub engine makes the full climb cheap: one integral, then one step per rung
-        calls = count_quadratures(monkeypatch, lambda f, acc: Evaluation(0.0, 0.0, 1, True))
-        assert evaluate(GridPoint(LADDER_MAX_ORDER, 0.5), method="ladder").evaluations == LADDER_MAX_ORDER
-        assert len(calls) == LADDER_MAX_ORDER
+        # one integral, then one series step per rung
+        calls = count_quadratures(monkeypatch)
+        steps = []
+        series = family._derivative_series
+        monkeypatch.setattr(family, "_derivative_series", lambda p, acc: steps.append(series(p, acc)) or steps[-1])
+        ev = evaluate(GridPoint(LADDER_MAX_ORDER, 0.5), method="ladder")
+        assert (len(calls), len(steps)) == (1, LADDER_MAX_ORDER - 1)
+        assert ev.evaluations == evaluate(GridPoint(1, 0.5)).evaluations + sum(step.evaluations for step in steps)
 
 
 class TestDerivativeRoutes:
@@ -464,16 +470,16 @@ class TestLadderRoute:
 
 class TestSharedClimb:
     # family._scale(x, acc) serves the table's g_ladder column and the ladder route: one climb per x, extended
-    # as asked, over one kernel row that the direct integrals at that x share
+    # as asked, from the g(1, x) of the kernel row that the direct integrals at that x share
     def test_failed_step_is_not_kept(self, monkeypatch):
         steps = []
         step = family._ladder_delta
 
-        def failing(n, x, acc, row=None):
+        def failing(n, x, acc):
             steps.append((n, x))
             if x == 0.5:
                 raise NonFiniteSampleError("injected")
-            return step(n, x, acc, row=row)
+            return step(n, x, acc)
 
         monkeypatch.setattr(family, "_ladder_delta", failing)
         scales = {x: family._scale(x, DEFAULT_ACCURACY) for x in (0.3, 0.5)}
@@ -500,15 +506,15 @@ class TestSharedClimb:
         assert calls == []
 
     def test_ladder_grid_takes_one_row_and_each_integral_once_per_scale(self, monkeypatch):
-        # g(n) and rung(n), n = 1..10, at 9 scales: 10 orders x 9 scales of g, plus one climb of 9 steps per
-        # scale above its rung 1, g(1, x), all over one row of 101 nodes per scale
+        # g(n) and rung(n), n = 1..10, at 9 scales: 10 orders x 9 scales of g over one row of 101 nodes per scale;
+        # each climb's rung 1 is g(1, x), and its 9 steps above it are series sums, which sample no kernel
         quadratures = count_quadratures(monkeypatch)
         samples = count_kernel_calls(monkeypatch)
         for i in range(1, 10):
             scale = family._scale(i / 10.0, DEFAULT_ACCURACY)
             for n in range(1, 11):
                 assert scale.rung(n).converged and scale.g(n).converged
-        assert len(quadratures) == 90 + 9 * 9
+        assert len(quadratures) == 90
         assert len(samples) == len(set(samples)) == 909
 
     def test_shared_climb_gives_each_point_its_own_values(self):
@@ -764,51 +770,27 @@ def pointwise(g):
 ORDERS = (1, 30, 100, 999, 10**4, 10**5, 10**6)
 
 
-def step_moment(n, x):
-    # the moment the ladder step adds back: int_0^1 K (pi x u)^2/6 du, as int_0^1 K u^2 du = -4/((n+1)(n+2)(n+3))
-    a = math.pi * x
-    return -2.0 * a * a / (3.0 * (n + 1) * (n + 2) * (n + 3))
-
-
-def naive_step(n, x):
-    # the ladder step from its naive scalar integrand: the step kernel against log sinc less its w^2 term, plus
-    # that term's moment
-    q = family._moment(
-        pointwise(lambda u: ((n + 1) * (1.0 - u) - n) * (1.0 - u) ** (n - 1) * _log_sinc_less_w2(math.pi * x * u)),
-        DEFAULT_ACCURACY,
-    )
-    return family._from_remainder(2.0 / (n + 1), 2.0 / (n + 1), q, step_moment(n, x))
-
-
 def beta_moment_of_u2(n):
-    # n int_0^1 (1-u)^(n-1) u^2 du and int_0^1 K u^2 du, K = (n+1)(1-u)^n - n(1-u)^(n-1), exactly, from
-    # int_0^1 (1-u)^k u^2 du = sum_j C(k, j) (-1)^j / (j + 3)
-    def u2(k):
-        return sum(Fraction((-1) ** j * math.comb(k, j), j + 3) for j in range(k + 1))
-
-    return n * u2(n - 1), (n + 1) * u2(n) - n * u2(n - 1)
+    # n int_0^1 (1-u)^(n-1) u^2 du exactly, as n sum_j C(n-1, j) (-1)^j / (j + 3)
+    return n * sum(Fraction((-1) ** j * math.comb(n - 1, j), j + 3) for j in range(n))
 
 
 class TestSubtractedTerm:
     # every Beta-weighted quadrature integrates its kernel less the w^2 term and adds that term's moment back
     @pytest.mark.parametrize("n", range(1, 41))
     def test_moments_are_exact(self, n):
-        weight_moment, step_kernel_moment = beta_moment_of_u2(n)
-        assert weight_moment == Fraction(2, (n + 1) * (n + 2))
-        assert step_kernel_moment == Fraction(-4, (n + 1) * (n + 2) * (n + 3))
+        assert beta_moment_of_u2(n) == Fraction(2, (n + 1) * (n + 2))
 
     @pytest.mark.parametrize("n", [2, 30, 10**3, 10**6])
     @pytest.mark.parametrize("x", [0.3, 1.0])
     def test_engine_integrates_the_term_to_its_closed_form(self, n, x):
         a = math.pi * x
         term = family._moment(family._beta_sum(n, lambda w: w * w / 6.0, a), DEFAULT_ACCURACY)
-        step = family._moment(family._beta_sum(n, lambda w: w * w / 6.0, a, step=True), DEFAULT_ACCURACY)
         assert abs(term.value - a * a / (3.0 * (n + 1) * (n + 2))) <= 1e-15
-        assert abs(step.value - step_moment(n, x)) <= 1e-15
 
 
 class TestAveragedIntegrand:
-    # the integral and cot routes and the ladder step stop each level's sum at
+    # the integral and cot routes stop each level's sum at
     # the first node where (1-u)^(n-1) has underflowed to 0.0; the quadrature
     # must not see the difference. The naive scalar integrands, over the
     # kernel each route samples at (n, x), are the oracles.
@@ -850,18 +832,6 @@ class TestAveragedIntegrand:
         ev = family._moment(family._beta_sum(10**6, kernel, 0.5 * math.pi), DEFAULT_ACCURACY)
         assert 0 < len(calls) < ev.evaluations
 
-    # the order-1 step at x = 1 is a closed form
-    @pytest.mark.parametrize("n, x", [
-        pytest.param(n, x, id=f"{n}-{x:g}") for n in ORDERS for x in (1e-4, 0.5, 0.9999, 1.0) if (n, x) != (1, 1.0)
-    ])
-    def test_ladder_step_matches_the_unskipped_integrand_bit_for_bit(self, n, x):
-        assert fields(family._ladder_delta(n, x, DEFAULT_ACCURACY)) == fields(naive_step(n, x))
-
-    def test_ladder_step_skips_the_kernel_where_the_weight_underflows(self, monkeypatch):
-        calls = count_kernel_calls(monkeypatch)
-        step = family._ladder_delta(10**3, 0.5, DEFAULT_ACCURACY)
-        assert 0 < len(calls) < step.evaluations
-
     def test_no_weight_after_the_first_underflow_is_nonzero(self):
         # the premise of the stop, at every level any Accuracy may reach (levels built uncached)
         for level in range(MAX_QUAD_REFINEMENTS + 1):
@@ -898,6 +868,21 @@ class TestAveragedIntegrand:
         assert total != naive, "no kernel found whose zeros move the sum"
         assert family._beta_sum(n, kernel, a)(us, dudts) == naive
 
+
+class TestLadderStep:
+    # g(n+1, x) - g(n, x) = -x g'(n+1, x)/(n+1): the step from n is the series route's value at n + 1, or the cot
+    # route's at x = 1, divided by -(n+1), with its estimate plus one eps of it for the division; the order-1 step
+    # at x = 1 is a closed form
+    @pytest.mark.parametrize("n, x", [
+        pytest.param(n, x, id=f"{n}-{x:g}") for n in ORDERS for x in (1e-4, 0.5, 0.9999, 1.0) if (n, x) != (1, 1.0)
+    ])
+    def test_step_is_the_scaled_derivative_one_order_up_bit_for_bit(self, n, x):
+        route = family._derivative_series if x < 1.0 else family._derivative_cot
+        d = route(GridPoint(n + 1, x), DEFAULT_ACCURACY)
+        step = Evaluation(-d.value / (n + 1), (d.err_estimate + sys.float_info.epsilon * abs(d.value)) / (n + 1),
+                          d.evaluations, d.converged)
+        assert fields(family._ladder_delta(n, x, DEFAULT_ACCURACY)) == fields(step)
+
 class TestNonFiniteKernelSample:
     # a kernel sample that is NaN at one node before the stop is named by its abscissa,
     # whether the fused sum calls the kernel itself or reads it from a shared row
@@ -912,9 +897,7 @@ class TestNonFiniteKernelSample:
 
     @pytest.mark.parametrize("call", [
         pytest.param(lambda: evaluate(GridPoint(100, 0.5)), id="integral"),
-        pytest.param(lambda: ladder_delta(100, 0.5), id="ladder-step"),
         pytest.param(lambda: family._scale(0.5, DEFAULT_ACCURACY).g(100), id="shared-row-g"),
-        pytest.param(lambda: family._scale(0.5, DEFAULT_ACCURACY).step(100), id="shared-row-step"),
     ])
     def test_names_the_abscissa(self, call):
         with pytest.raises(NonFiniteSampleError, match=self.MESSAGE):
@@ -942,11 +925,7 @@ class TestSharedKernelRow:
         # orders whose weight underflows read a row that others filled further
         scale = family._scale(x, DEFAULT_ACCURACY)
         for n in (1, 2, 10, 10**6, 3, 10**4, 40, 30, 10**5, 100, 999):
-            p = GridPoint(n, x)
-            assert fields(scale.g(n)) == fields(family._integral(p, DEFAULT_ACCURACY))
-            step = scale.step(n)
-            if (n, x) != (1, 1.0):  # the order-1 step at x = 1 is a closed form
-                assert fields(step) == fields(naive_step(n, x))
+            assert fields(scale.g(n)) == fields(family._integral(GridPoint(n, x), DEFAULT_ACCURACY))
 
     def test_row_stops_where_every_weight_has_underflowed(self, monkeypatch):
         calls = count_kernel_calls(monkeypatch)
@@ -964,12 +943,13 @@ class TestSharedKernelRow:
         assert values == singles
 
     def test_climb_samples_each_node_once(self, monkeypatch):
-        # the order-1 integral and 11 steps, all over one row
+        # the order-1 integral over one row, and 11 steps that are series sums, which sample no kernel
         calls = count_kernel_calls(monkeypatch)
         climb = family._scale(0.3, DEFAULT_ACCURACY).rung
         top = climb(12)
-        assert len(calls) == len(set(calls))
-        assert len(calls) == climb(1).evaluations == top.evaluations / 12
+        assert len(calls) == len(set(calls)) == climb(1).evaluations
+        terms = sum(family._derivative_series(GridPoint(n, 0.3), DEFAULT_ACCURACY).evaluations for n in range(2, 13))
+        assert top.evaluations == climb(1).evaluations + terms
 
     def test_single_point_route_skips_underflowed_weights(self, monkeypatch):
         # a route called alone keeps today's skip where (1-u)^(n-1) underflows
