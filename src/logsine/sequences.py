@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_ACCURACY, Accuracy, _require_accuracy, _require_int
-from .errors import DomainError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -136,31 +135,29 @@ def _harmonic_fixed(n: int, k: int) -> float:
 
 
 @lru_cache(maxsize=1)
-def _bernoulli_table() -> tuple[Fraction, ...]:
-    # B_0..B_{2 BERNOULLI_MAX_INDEX} (first-kind convention, B_1 = -1/2; the
-    # even-index values exposed by bernoulli_even are the same under either).
-    # Tangent numbers in place, T_k = t[k-1]: start from (k-1)! and sweep
+def _bernoulli_table() -> tuple[tuple[int, int], ...]:
+    # B_0..B_{2 BERNOULLI_MAX_INDEX} as (numerator, denominator) int pairs, not in lowest terms, so the series routes
+    # never import fractions (first-kind convention, B_1 = -1/2; the even-index values exposed by bernoulli_even are
+    # the same under either). Tangent numbers in place, T_k = t[k-1]: start from (k-1)! and sweep
     # T_j <- (j-k) T_{j-1} + (j-k+2) T_j (Brent and Harvey 2011, Algorithm TangentNumbers).
-    from fractions import Fraction
-
     kmax = BERNOULLI_MAX_INDEX
     t = [math.factorial(k) for k in range(kmax)]
     for k in range(1, kmax):
         for j in range(k, kmax):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    table = [Fraction(0)] * (2 * kmax + 1)
-    table[0], table[1] = Fraction(1), Fraction(-1, 2)
+    table = [(0, 1)] * (2 * kmax + 1)
+    table[0], table[1] = (1, 1), (-1, 2)
     for k in range(1, kmax + 1):
-        table[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k - 1], 4**k * (4**k - 1))
+        table[2 * k] = ((-1) ** (k - 1) * 2 * k * t[k - 1], 4**k * (4**k - 1))
     return tuple(table)
 
 
 def bernoulli_even(m: int) -> Fraction:
     """B_{2m} as an exact rational, for 0 <= m <= BERNOULLI_MAX_INDEX."""
-    _require_int("m", m, 0)
-    if m > BERNOULLI_MAX_INDEX:
-        raise DomainError(f"m must satisfy m <= {BERNOULLI_MAX_INDEX}")
-    return _bernoulli_table()[2 * m]
+    _require_int("m", m, 0, BERNOULLI_MAX_INDEX)
+    from fractions import Fraction
+
+    return Fraction(*_bernoulli_table()[2 * m])
 
 
 def zeta_even_bernoulli(m: int) -> float:
@@ -172,12 +169,12 @@ def zeta_even_bernoulli(m: int) -> float:
     stand-in for pi) and rounded once, so the result stays above 1 and
     non-increasing all the way into the saturation plateau at 1.0.
     """
-    _require_int("m", m, 1)
-    b = bernoulli_even(m)
-    # (-1)^(m+1) B_2m is positive; int / int rounds the exact quotient correctly
+    _require_int("m", m, 1, BERNOULLI_MAX_INDEX)
+    b_num, b_den = _bernoulli_table()[2 * m]
+    # (-1)^(m+1) B_2m is positive; int / int rounds the exact quotient correctly, reduced or not
     pi_num, pi_den = _PI_RATIONAL
-    numerator = 2 ** (2 * m - 1) * abs(b.numerator) * pi_num ** (2 * m)
-    return numerator / (math.factorial(2 * m) * b.denominator * pi_den ** (2 * m))
+    numerator = 2 ** (2 * m - 1) * abs(b_num) * pi_num ** (2 * m)
+    return numerator / (math.factorial(2 * m) * b_den * pi_den ** (2 * m))
 
 
 def zeta_even_direct(m: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:

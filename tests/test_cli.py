@@ -563,3 +563,21 @@ class TestImportCost:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_series_route_and_table_load_neither_decimal_nor_fractions(self):
+        # the ladder's steps and the series route read zeta(2m) from the Bernoulli table's int pairs;
+        # only bernoulli_even builds a Fraction
+        result = run_python(
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "from logsine import GridPoint, bernoulli_even, cli, evaluate\n"
+            "evaluate(GridPoint(5, 0.5), method='derivative-series')\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['table', '--n-list', '1,2,3', '--x-list', '0.5']) == 0\n"
+            "print(sorted({'decimal', 'fractions'} & (set(sys.modules) - before)))\n"
+            "bernoulli_even(1)\n"
+            "print(sorted({'decimal', 'fractions'} & (set(sys.modules) - before)))\n"
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0] == "[]" and "'fractions'" in lines[1]

@@ -157,8 +157,8 @@ class TestBernoulli:
     def test_table_equals_convolution_recurrence(self):
         table = _bernoulli_table()
         assert len(table) == 129
-        assert all(type(b) is Fraction for b in table)
-        assert list(table) == _convolution_bernoulli(128)
+        assert all(type(num) is type(den) is int for num, den in table)
+        assert [Fraction(*pair) for pair in table] == _convolution_bernoulli(128)
 
     def test_known_values(self):
         assert bernoulli_even(0) == Fraction(1)
