@@ -160,16 +160,21 @@ def integrate_de(f: Callable[..., float], acc: Accuracy = DEFAULT_ACCURACY) -> E
     The trapezoid step on the transformed axis is halved until the
     level-to-level difference is within quad_rel_tol * max(|value|, 1)
     or the refinement budget is exhausted. Raises NonConvergenceError
-    (carrying the best estimate, converged=False) when the budget runs out.
+    (carrying the best estimate, converged=False) when the budget runs out,
+    and DomainError for an f that is not callable or a level sum that is no
+    real number in the float range.
     """
     _require_accuracy(acc)
+    if not callable(f):
+        raise DomainError("integrand must be callable")
     value = 0.0  # so level 0's refined value is its bare trapezoid sum
     evaluations = 0
     converged = False
     for level in range(acc.max_quad_refinements + 1):
         us, dudts = _level(level)
         evaluations += len(us)
-        refined = 0.5 * value + _H0 / (1 << level) * f(us, dudts)
+        total = f(us, dudts)
+        refined = 0.5 * value + _H0 / (1 << level) * (total if type(total) is float else _level_sum(total))
         err = abs(refined - value)
         value = refined
         # agreement between the first coarse levels is not trustworthy, so
@@ -181,9 +186,22 @@ def integrate_de(f: Callable[..., float], acc: Accuracy = DEFAULT_ACCURACY) -> E
     return _checked(Evaluation(value, err, evaluations, converged))
 
 
+def _level_sum(total) -> float:
+    # integrate_de's reading of a level sum that is not a float
+    if _is_real(total):
+        try:
+            return float(total)
+        except OverflowError:  # an int or a rational past the largest float
+            pass
+    raise DomainError("integrand must return its level sum as a real number in the float range")
+
+
 def from_samples(f: Callable[[tuple[float, ...]], Sequence[float]]) -> Callable[..., float]:
     """integrate_de's integrand for f, which returns one sample per abscissa of a level. Its sum raises DomainError
-    for a result that is no sequence of one real sample per abscissa, NonFiniteSampleError for a non-finite one."""
+    for a result that is no sequence of one real sample per abscissa, NonFiniteSampleError for a non-finite one.
+    A non-callable f is a DomainError."""
+    if not callable(f):
+        raise DomainError("integrand must be callable")
 
     def level_sum(us: tuple[float, ...], dudts: tuple[float, ...]) -> float:
         samples = f(us)

@@ -706,6 +706,90 @@ class TestInputContract:
         assert genfunc_tail_bound(0.5, 0.9, LADDER_MAX_ORDER) == 0.0 < genfunc_tail_bound(0.5, 0.9, 60)
 
 
+# every public name that takes input, with a valid value for each of its parameters
+VALID_CALLS = {
+    "Accuracy": dict(quad_rel_tol=1e-12, series_abs_tol=1e-15, max_quad_refinements=12),
+    "GenfuncPoint": dict(x=0.5, z=0.3),
+    "GridPoint": dict(n=3, x=0.5),
+    "audit_large_n": dict(x=0.5, ns=(10,), acc=DEFAULT_ACCURACY),
+    "audit_small_x": dict(n=1, xs=(0.01,), acc=DEFAULT_ACCURACY),
+    "audit_table": dict(acc=DEFAULT_ACCURACY),
+    "bernoulli_even": dict(m=3),
+    "check_bernoulli_zeta": dict(m_max=2, acc=DEFAULT_ACCURACY),
+    "check_derivative": dict(grid=[(1, 0.5)], acc=DEFAULT_ACCURACY),
+    "check_genfunc": dict(xs=(0.5,), zs=(0.3,), N=2, acc=DEFAULT_ACCURACY),
+    "check_ladder": dict(grid=[(1, 0.5)], acc=DEFAULT_ACCURACY),
+    "check_series_constant": dict(grid=[(1, 0.5)], acc=DEFAULT_ACCURACY),
+    "cot_kernel": dict(x=0.5, u=0.5),
+    "eval_derivative_cot": dict(p=(2, 0.5), acc=DEFAULT_ACCURACY),
+    "eval_derivative_series": dict(p=(2, 0.5), acc=DEFAULT_ACCURACY),
+    "eval_integral": dict(p=(2, 0.5), acc=DEFAULT_ACCURACY),
+    "eval_via_ladder": dict(p=(2, 0.5), acc=DEFAULT_ACCURACY),
+    "evaluate": dict(p=(2, 0.5), method="integral", acc=DEFAULT_ACCURACY),
+    "from_samples": dict(f=lambda us: [1.0] * len(us)),
+    "genfunc_closed": dict(q=(0.5, 0.3), acc=DEFAULT_ACCURACY),
+    "genfunc_partial": dict(x=0.5, z=0.3, N=2, acc=DEFAULT_ACCURACY),
+    "genfunc_tail_bound": dict(x=0.5, z=0.3, N=2, acc=DEFAULT_ACCURACY),
+    "harmonic": dict(n=3),
+    "integrate_de": dict(f=from_samples(lambda us: [u * u for u in us]), acc=DEFAULT_ACCURACY),
+    "ladder_delta": dict(n=2, x=0.5, acc=DEFAULT_ACCURACY),
+    "log_sin_kernel": dict(x=0.5, u=0.5),
+    "weight": dict(n=3, u=0.5),
+    "zeta_even_bernoulli": dict(m=3),
+    "zeta_even_direct": dict(m=3, acc=DEFAULT_ACCURACY),
+}
+# records the package returns, which check only their own consistency
+RESULT_RECORDS = {"Evaluation", "IdentityReport", "AuditRow", "AsymptoticRow", "TableAudit", "AsymptoticAudit"}
+# the catalogue of bad values; the huge int reaches only names that refuse it before any work, or that take any
+# order in bounded time (GridPoint, harmonic)
+BAD_VALUES = {
+    "None": None, "str": "0.5", "bool": True, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0": 0, "-1": -1,
+    "huge": 10**400, "Fraction": Fraction(3, 2), "Decimal": Decimal("1.5"), "complex": 0.5j, "list": [None],
+    "tuple": (None,),
+}
+# the catalogue values that are valid where they are passed
+ACCEPTED = {
+    ("GridPoint", "n", "huge"),  # a record takes any order; the series route answers it
+    ("harmonic", "n", "huge"),
+    ("bernoulli_even", "m", "0"),  # B_0 = 1
+    ("GenfuncPoint", "z", "0"), ("genfunc_partial", "z", "0"), ("genfunc_tail_bound", "z", "0"),
+    ("cot_kernel", "u", "0"), ("weight", "u", "0"),
+    ("Accuracy", "quad_rel_tol", "Fraction"), ("Accuracy", "series_abs_tol", "Fraction"),
+}
+
+
+class TestBadValueCatalogue:
+    # bad library input fails with DomainError (or a NonConvergenceError carrying its best estimate), never with a
+    # stray TypeError, ValueError or OverflowError, nor is it accepted
+    def test_catalogue_lists_every_public_name_that_takes_input(self):
+        takes_input = {
+            name for name in logsine.__all__
+            if callable(obj := getattr(logsine, name)) and name not in RESULT_RECORDS
+            and not (isinstance(obj, type) and issubclass(obj, Exception)) and inspect.signature(obj).parameters
+        }
+        assert takes_input == set(VALID_CALLS)
+        for name, kwargs in VALID_CALLS.items():
+            assert list(kwargs) == list(inspect.signature(getattr(logsine, name)).parameters), name
+
+    @pytest.mark.parametrize("name, param", [(name, param) for name, kwargs in VALID_CALLS.items() for param in kwargs])
+    def test_bad_value_is_a_domain_error(self, name, param):
+        call = getattr(logsine, name)
+        call(**VALID_CALLS[name])
+        stray = []
+        for label, bad in BAD_VALUES.items():
+            try:
+                call(**{**VALID_CALLS[name], param: bad})
+            except (DomainError, NonConvergenceError):
+                if (name, param, label) in ACCEPTED:
+                    stray.append(f"{label}: refused")
+            except Exception as exc:  # the stray exception this test reports
+                stray.append(f"{label}: {type(exc).__name__}: {exc}")
+            else:
+                if (name, param, label) not in ACCEPTED:
+                    stray.append(f"{label}: accepted")
+        assert stray == []
+
+
 class TestEvaluateDispatch:
     def test_routes_agree(self):
         p = GridPoint(3, 0.4)

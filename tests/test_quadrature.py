@@ -1,6 +1,7 @@
 import math
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
@@ -369,3 +370,30 @@ class TestLevelContract:
         with pytest.raises(NonConvergenceError) as excinfo:
             integrate_de(from_samples(lambda us: [1e308] * len(us)), Accuracy(max_quad_refinements=4))
         assert excinfo.value.result.converged is False
+
+    @pytest.mark.parametrize("f", [None, 0, "f", [1.0]], ids=["None", "int", "str", "list"])
+    def test_non_callable_integrand_rejected(self, f):
+        # refused before the first level, by the engine and by the adapter alike
+        with pytest.raises(DomainError, match="^integrand must be callable$"):
+            integrate_de(f)
+        with pytest.raises(DomainError, match="^integrand must be callable$"):
+            from_samples(f)
+
+    @pytest.mark.parametrize(
+        "total",
+        ["x", None, 1j, [1.0], Decimal("0.5"), 10**400, Fraction(10**400)],
+        ids=["str", "None", "complex", "list", "Decimal", "int-past-the-float-range", "Fraction-past-the-float-range"],
+    )
+    def test_level_sum_that_is_no_real_float_rejected(self, total):
+        message = "^integrand must return its level sum as a real number in the float range$"
+        with pytest.raises(DomainError, match=message):
+            integrate_de(lambda us, dudts: total)
+
+    @pytest.mark.parametrize("kind", [Fraction, np.float64], ids=["Fraction", "numpy"])
+    def test_level_sum_of_another_real_type_is_read_as_a_float(self, kind):
+        def f(us, dudts):
+            return math.fsum(u * u * dudt for u, dudt in zip(us, dudts))
+
+        q = integrate_de(lambda us, dudts: kind(f(us, dudts)))
+        assert q == integrate_de(f)
+        assert type(q.value) is float
