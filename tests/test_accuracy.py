@@ -10,7 +10,9 @@ route at every x g' value with x < 1 and near x = 1 against the integral
 route, and the integral and ladder routes, and the derivative routes through
 the family's differential relation, also against closed forms at x = 1/2
 and 1 that come by another path (the kernel's Fourier series) in stdlib
-Decimal.
+Decimal. Every route's bound over these sets is gated at budgets other than
+the default too: quad_rel_tol 1e-4, 1e-8 and 1e-15, series_abs_tol 1e-4 and
+1e-8.
 """
 
 import json
@@ -23,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import logsine.family as family
-from logsine import DEFAULT_ACCURACY, DomainError, GridPoint, evaluate
+from logsine import DEFAULT_ACCURACY, Accuracy, DomainError, GridPoint, evaluate
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 ORDERS = {1, 2, 3, 5, 9} | {10**k for k in range(1, 7)}
@@ -35,7 +37,7 @@ def reference():
     return json.loads(REFERENCE.read_text())
 
 
-def errors(table, method, keep=lambda n, x: n in ORDERS):
+def errors(table, method, keep=lambda n, x: n in ORDERS, acc=DEFAULT_ACCURACY):
     # (point, value, err_estimate, |value - ref|, relative error, evaluations) for every
     # point keep admits (the subset) that the table holds a value at; a null entry is
     # a divergent quantity, which the route rejects with a domain error instead
@@ -45,7 +47,7 @@ def errors(table, method, keep=lambda n, x: n in ORDERS):
         if not keep(n, x) or text is None:
             continue
         p = GridPoint(n, x)
-        ev = evaluate(p, method=method)
+        ev = evaluate(p, method=method, acc=acc)
         ref = Fraction(text)
         abs_err = float(abs(Fraction(ev.value) - ref))
         out.append((p, ev.value, ev.err_estimate, abs_err, abs_err / max(abs(float(ref)), 1.0), ev.evaluations))
@@ -126,23 +128,23 @@ def test_cot_route_near_one_meets_the_series_route(n):
         assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate + 4 * EPS * (abs(a.value) + abs(b.value)), k
 
 
-def test_ladder_route_error_estimate_is_a_bound(reference):
-    # the subset up to n = 100; one climb per x serves every order at it, each rung bit for bit the
-    # ladder route's value (tests/test_family.py::TestLadderRoute)
+def ladder_counts(reference, acc):
+    # (points, violations) of the ladder route over the subset up to n = 100; one climb per x serves every order at
+    # it, each rung bit for bit the ladder route's value (tests/test_family.py::TestLadderRoute)
     climbs = {}
     violations = points = 0
     for key, text in reference["g"].items():
         n, x = int(key.split("|")[0]), float(key.split("|")[1])
         if n not in ORDERS or n > 100 or text is None:
             continue
-        ev = climbs.setdefault(x, family._scale(x, DEFAULT_ACCURACY)).rung(n)
+        ev = climbs.setdefault(x, family._scale(x, acc)).rung(n)
         points += 1
         violations += float(abs(Fraction(ev.value) - Fraction(text))) > ev.err_estimate + 4 * EPS * abs(ev.value)
-    assert (points, violations) == (1957, 0)
+    return points, violations
 
 
-def test_ladder_step_error_estimate_is_a_bound(reference):
-    # every step g(n+1) - g(n), n <= 100, that the table holds both ends of
+def step_counts(reference, acc):
+    # (steps, violations) over every step g(n+1) - g(n), n <= 100, that the table holds both ends of
     table = {}
     for key, text in reference["g"].items():
         n, x = key.split("|")
@@ -151,11 +153,49 @@ def test_ladder_step_error_estimate_is_a_bound(reference):
     steps = violations = 0
     for x, g in table.items():
         for n in sorted(k for k in g if k <= 100 and k + 1 in g):
-            ev = family._ladder_delta(n, x, DEFAULT_ACCURACY)
+            ev = family._ladder_delta(n, x, acc)
             steps += 1
             assert ev.converged and ev.err_estimate > 0.0
             violations += float(abs(Fraction(ev.value) - (g[n + 1] - g[n]))) > ev.err_estimate + 4 * EPS * abs(ev.value)
-    assert (steps, violations) == (10582, 0)
+    return steps, violations
+
+
+def test_ladder_route_error_estimate_is_a_bound(reference):
+    assert ladder_counts(reference, DEFAULT_ACCURACY) == (1957, 0)
+
+
+def test_ladder_step_error_estimate_is_a_bound(reference):
+    assert step_counts(reference, DEFAULT_ACCURACY) == (10582, 0)
+
+
+# budgets other than the default, each route at the tolerance it reads: the quadrature routes at quad_rel_tol, the
+# series route at series_abs_tol, and the ladder route and its steps, which read an integral and then the series
+# route (the cot route at x = 1), at both
+QUAD_BUDGETS = {f"quad_rel_tol={t:g}": Accuracy(quad_rel_tol=t) for t in (1e-4, 1e-8, 1e-15)}
+SERIES_BUDGETS = {f"series_abs_tol={t:g}": Accuracy(series_abs_tol=t) for t in (1e-4, 1e-8)}
+BUDGET_SETS = {  # route -> (table, points kept, their count)
+    "integral": ("g", lambda n, x: n in ORDERS, 2225),
+    "derivative-cot": ("dg", lambda n, x: True, 6029),
+    "derivative-series": ("dg", lambda n, x: x < 1.0, 5940),
+}
+
+
+@pytest.mark.parametrize("method, budget", [
+    (method, budget) for method in ("integral", "derivative-cot") for budget in QUAD_BUDGETS
+] + [("derivative-series", budget) for budget in SERIES_BUDGETS])
+def test_routes_bound_their_error_at_other_budgets(reference, method, budget):
+    # a route that runs out of budget raises NonConvergenceError, which fails the test too
+    table, keep, count = BUDGET_SETS[method]
+    rows = errors(reference[table], method, keep, {**QUAD_BUDGETS, **SERIES_BUDGETS}[budget])
+    assert len(rows) == count
+    assert [r[0] for r in rows if r[3] > r[2] + 4 * EPS * abs(r[1])] == []
+
+
+@pytest.mark.parametrize("budget", list(QUAD_BUDGETS) + list(SERIES_BUDGETS))
+def test_ladder_bounds_its_error_at_other_budgets(reference, budget):
+    acc = {**QUAD_BUDGETS, **SERIES_BUDGETS}[budget]
+    assert ladder_counts(reference, acc) == (1957, 0)
+    assert step_counts(reference, acc) == (10582, 0)
 
 
 def _pi_decimal():
