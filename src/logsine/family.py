@@ -35,7 +35,7 @@ METHOD_DERIVATIVE_SERIES = "derivative-series"
 METHODS = (METHOD_INTEGRAL, METHOD_LADDER, METHOD_DERIVATIVE_COT, METHOD_DERIVATIVE_SERIES)
 
 # highest order the ladder climbs to: one series evaluation per rung (at x = 1 a
-# cot quadrature, ~50 us), so a climb ends in about half a second
+# cot quadrature, 35-50 us), so a climb ends in under half a second
 LADDER_MAX_ORDER = 10_000
 
 _EPS = math.ulp(1.0)
