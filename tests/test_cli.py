@@ -581,3 +581,44 @@ class TestImportCost:
         assert result.returncode == 0, result.stderr
         lines = result.stdout.splitlines()
         assert lines[0] == "[]" and "'fractions'" in lines[1]
+
+
+
+# a valid command per subcommand, and the flags each takes a value for
+VALID_COMMANDS = {
+    "eval": ["eval", "--n", "2", "--x", "0.5", "--method", "integral"],
+    "table": ["table", "--n-list", "1,2", "--x-list", "0.5"],
+    "verify": ["verify", "--only", "bernoulli_zeta"],
+    "audit": ["audit", "--only", "small-x,large-n", "--n", "1", "--x", "0.5"],
+}
+BAD_FLAG_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e400", "1" + "0" * 400, "1.5", "x", ""]
+# catalogue values that are valid for a flag, and the exit code they give: 1.5 is a finite positive tolerance,
+# though one so loose that bernoulli_zeta's direct sum misses the check (exit 1, a verification failure)
+VALID_FLAG_VALUES = {(command, flag): {"1.5": 0} for command in VALID_COMMANDS
+                     for flag in ("--quad-tol", "--series-tol")}
+VALID_FLAG_VALUES["verify", "--series-tol"] = {"1.5": 1}
+
+
+class TestBadFlagCatalogue:
+    # a flag value that the command cannot take exits 2 with an error on stderr and nothing on stdout, never with a
+    # traceback
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, argv in VALID_COMMANDS.items() for flag in argv[1::2]
+    ] + [(command, flag) for command in VALID_COMMANDS for flag in ("--quad-tol", "--series-tol")])
+    def test_bad_value_exits_2(self, capsys, command, flag):
+        outcomes = {}
+        for bad in BAD_FLAG_VALUES:
+            argv = list(VALID_COMMANDS[command])
+            if flag in argv:
+                argv[argv.index(flag) + 1] = bad
+            else:
+                argv += [flag, bad]
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses a value its type cannot read
+                code = exc.code
+            out, err = capsys.readouterr()
+            outcomes[bad] = (code, out == "", "error" in err) if code == 2 else code
+        expected = {bad: (2, True, True) for bad in BAD_FLAG_VALUES}
+        expected.update(VALID_FLAG_VALUES.get((command, flag), {}))
+        assert outcomes == expected
