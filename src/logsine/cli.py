@@ -66,7 +66,7 @@ VERIFY_RUNNERS = {
     ID_LADDER: lambda acc: check_ladder(acc=acc),
     ID_SERIES_CONSTANT: lambda acc: check_series_constant(acc=acc),
     ID_GENFUNC: lambda acc: check_genfunc(acc=acc),
-    ID_BERNOULLI_ZETA: lambda acc: check_bernoulli_zeta(acc=acc),
+    ID_BERNOULLI_ZETA: lambda acc: check_bernoulli_zeta(),
 }
 
 # Audits runnable by `audit`, in emission order. Each prints its rows'
@@ -134,13 +134,8 @@ def _emit_rows(ns, header, rows) -> None:
 
 
 def _accuracy(ns):
-    overrides = {}
-    if ns.quad_tol is not None:
-        overrides["quad_rel_tol"] = ns.quad_tol
-    if ns.series_tol is not None:
-        overrides["series_abs_tol"] = ns.series_tol
-    # rebuilt through Accuracy(), which validates: _replace would skip that
-    return Accuracy(**{**DEFAULT_ACCURACY._asdict(), **overrides}) if overrides else DEFAULT_ACCURACY
+    # built through Accuracy(), which validates: _replace would skip that
+    return DEFAULT_ACCURACY if ns.quad_tol is None else Accuracy(quad_rel_tol=ns.quad_tol)
 
 
 def _split_selection(raw, valid, what) -> tuple[str, ...]:
@@ -261,8 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write output to PATH instead of stdout")
     common.add_argument("--quad-tol", type=float, default=None, metavar="REAL",
                         help="relative quadrature tolerance (default 1e-12)")
-    common.add_argument("--series-tol", type=float, default=None, metavar="REAL",
-                        help="absolute series tail tolerance (default 1e-15)")
 
     parser = argparse.ArgumentParser(
         prog="logsine",

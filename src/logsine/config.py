@@ -103,22 +103,20 @@ def _as_point(cls, entry):
     return cls(*fields)
 
 
-class Accuracy(namedtuple("Accuracy", "quad_rel_tol series_abs_tol max_quad_refinements")):
-    """Tolerances and truncation budgets governing quadrature and series."""
+class Accuracy(namedtuple("Accuracy", "quad_rel_tol max_quad_refinements")):
+    """Tolerance and refinement budget governing quadrature."""
 
     __slots__ = ()
 
     def __new__(
         cls,
         quad_rel_tol: float = 1e-12,
-        series_abs_tol: float = 1e-15,
         max_quad_refinements: int = 12,
     ):
         _require_tolerance("quad_rel_tol", quad_rel_tol)
-        _require_tolerance("series_abs_tol", series_abs_tol)
         # the engine refines at least three times before it may stop, so a smaller budget could never converge
         _require_int("max_quad_refinements", max_quad_refinements, 3, MAX_QUAD_REFINEMENTS)
-        return super().__new__(cls, quad_rel_tol, series_abs_tol, max_quad_refinements)
+        return super().__new__(cls, quad_rel_tol, max_quad_refinements)
 
 
 DEFAULT_ACCURACY = Accuracy()

@@ -26,7 +26,7 @@ from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_poi
 from .errors import DomainError, NonConvergenceError
 from .quadrature import Evaluation, _checked, from_samples, integrate_de
 from .quadrature import _C2, _cot_less_pole, _log_sinc_less_w2
-from .sequences import harmonic, zeta_even
+from .sequences import SERIES_ABS_TOL, harmonic, zeta_even
 
 METHOD_INTEGRAL = "integral"
 METHOD_LADDER = "ladder"
@@ -34,8 +34,8 @@ METHOD_DERIVATIVE_COT = "derivative-cot"
 METHOD_DERIVATIVE_SERIES = "derivative-series"
 METHODS = (METHOD_INTEGRAL, METHOD_LADDER, METHOD_DERIVATIVE_COT, METHOD_DERIVATIVE_SERIES)
 
-# highest order the ladder climbs to: one series evaluation per rung (at x = 1 a
-# cot quadrature, 35-50 us), so a climb ends in under half a second
+# highest order the ladder climbs to: one series evaluation per rung (a few us),
+# so a climb ends in about a tenth of a second
 LADDER_MAX_ORDER = 10_000
 
 _EPS = math.ulp(1.0)
@@ -133,10 +133,8 @@ def _derivative_cot(p: GridPoint, acc: Accuracy) -> Evaluation:
     # -2t^2/(1-t^2), t = xu, the sine product's k = 1 pole, has moment 2 - P - M, and R = -n int_0^1 (1-u)^(n-1) rho(xu)
     # du + C2 x^2 2/((n+1)(n+2)), as rho (quadrature._cot_less_pole) is the kernel less that part and its t^2 term
     n, x = p.n, p.x
-    if n == 1 and x == 1.0:
-        raise DomainError("the derivative diverges like log(1-x) at n = 1, x = 1")
-    q = _quadrature(n, _cot_less_pole, x, acc)
     P, M = _poles(n, x)
+    q = _quadrature(n, _cot_less_pole, x, acc)
     moment = _C2 * x * x / (0.5 * (n + 1) * (n + 2))
     return _from_remainder(-4.0 + P + M, 4.0 + P + M, q, moment)
 
@@ -154,9 +152,11 @@ def _ratio_sum(a: float, j: int, c: int) -> float:
 
 def _poles(n: int, x: float) -> tuple[float, float]:
     # P = n K(x) and M = n K(-x), K(a) = int_0^1 (1-u)^(n-1)/(1+au) du: the moments of the sine product's k = 1 factor,
-    # which both x g' routes take in closed form. Every term of both sums is positive
+    # which both x g' routes take in closed form, and so refuse (1, 1) here. Every term of both sums is positive
     P = _ratio_sum(x / (1.0 + x), n, 1) / (1.0 + x)  # n/(1+x) sum_j b^j/(n+j), b = x/(1+x) <= 1/2
     if x == 1.0:  # K(-1) = 1/(n-1), n >= 2
+        if n == 1:
+            raise DomainError("the derivative diverges like log(1-x) at n = 1, x = 1")
         return P, n / (n - 1)
     if n >= 64 or x < 0.75:  # M = sum_j x^j j! n!/(n+j)!, term ratio x (j+1)/(n+j+1)
         return P, _ratio_sum(x, 1, n)
@@ -166,15 +166,13 @@ def _poles(n: int, x: float) -> tuple[float, float]:
     return P, n * k
 
 
-def _derivative_series(p: GridPoint, acc: Accuracy) -> Evaluation:
+def _derivative_series(p: GridPoint) -> Evaluation:
     # -2 + 2 sum_m r_m zeta(2m) x^(2m), r_m = n! (2m)!/(2m+n)!. zeta(2m)'s 1s are the sine product's k = 1 factor:
     # 2 sum_m r_m x^(2m) = P + M - 2 (_poles). So the value is -4 + P + M + R, R = 2 sum_m r_m (zeta(2m) - 1) x^(2m)
     n, x = p.n, p.x
-    if x >= 1.0:
-        raise DomainError("x must satisfy x < 1 on the series route")
     P, M = _poles(n, x)
     x2, coef, terms, m = x * x, 2.0, [], 0  # coef: 2 r_m x^(2m)
-    while not terms or terms[-1] >= acc.series_abs_tol:
+    while not terms or terms[-1] >= SERIES_ABS_TOL:
         m += 1
         coef *= x2 * ((2 * m - 1) * (2 * m) / ((2 * m - 1 + n) * (2 * m + n)))
         terms.append(coef * (zeta_even(m) - 1.0))  # exact, as zeta_even(m) is in [1, 2] (Sterbenz)
@@ -187,13 +185,13 @@ def _derivative_series(p: GridPoint, acc: Accuracy) -> Evaluation:
     return Evaluation(value, tail + 2.0 * _EPS * (4.0 + P + M + R + abs(value)), len(terms), True)
 
 
-def _ladder_delta(n: int, x: float, acc: Accuracy) -> Evaluation:
-    # g(n+1, x) - g(n, x) = -d/(n+1), d = x g'(n+1, x) (q_(n+1) by parts) from the series route, or the cot route at
-    # x = 1. The division and n + 1 as a float each round by <= eps/2 of the step: eps |d|/(n+1) covers them
+def _ladder_delta(n: int, x: float) -> Evaluation:
+    # g(n+1, x) - g(n, x) = -d/(n+1), d = x g'(n+1, x) (q_(n+1) by parts) from the series route, x = 1 included.
+    # The division and n + 1 as a float each round by <= eps/2 of the step: eps |d|/(n+1) covers them
     if n == 1 and x == 1.0:  # g(2, 1) - g(1, 1): the Clausen terms vanish at x = 1, and H_2 - H_1 = 1/2
         return _from_remainder(0.5, 0.5, Evaluation(0.0, 0.0, 0, True), 0.0)
     _require_float_order(n)
-    d = (_derivative_series if x < 1.0 else _derivative_cot)(GridPoint(n + 1, x), acc)
+    d = _derivative_series(GridPoint(n + 1, x))
     return d._replace(value=-d.value / (n + 1), err_estimate=(d.err_estimate + _EPS * abs(d.value)) / (n + 1))
 
 
@@ -216,7 +214,7 @@ def _scale(x: float, acc: Accuracy) -> SimpleNamespace:
         if not path:
             path.append(integral(1))
         while len(path) < n:
-            below, step = path[-1], _ladder_delta(len(path), x, acc)
+            below, step = path[-1], _ladder_delta(len(path), x)
             path.append(Evaluation(
                 below.value + step.value,
                 below.err_estimate + step.err_estimate,
@@ -246,7 +244,9 @@ def evaluate(
     elif method == METHOD_DERIVATIVE_COT:
         ev = _derivative_cot(p, acc)
     elif method == METHOD_DERIVATIVE_SERIES:
-        ev = _derivative_series(p, acc)
+        if p.x == 1.0:  # x g'(n, 1) is finite from n = 2, but the public route stops short of its radius
+            raise DomainError("x must satisfy x < 1 on the series route")
+        ev = _derivative_series(p)
     else:
         raise DomainError(f"method must be one of {METHODS}")
     return _checked(ev)
@@ -269,7 +269,7 @@ def eval_derivative_cot(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float
     return evaluate(p, METHOD_DERIVATIVE_COT, acc).value
 
 
-def eval_derivative_series(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def eval_derivative_series(p: GridPoint) -> float:
     """x * d/dx of the family at p, x < 1, via the even-zeta series:
 
         2 n! sum_{m>=1} (2m)!/(2m+n)! zeta(2m) x^(2m) - 2
@@ -278,23 +278,22 @@ def eval_derivative_series(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> fl
     substituting the cotangent expansion into the integral route yields
     -2. The parts of zeta(2m) = 1 + (zeta(2m) - 1) are summed apart: the 1s
     in closed form, as the -4 + P + M the cotangent route shares, and the rest
-    R, whose terms fall at least 4x each, to below acc.series_abs_tol with a
-    proven tail. Its terms (at most 23 by default) are the evaluations that
+    R, whose terms fall at least 4x each, to below SERIES_ABS_TOL (1e-15)
+    with a proven tail. Its terms (at most 23) are the evaluations that
     evaluate() reports; the series_constant check compares R with the
     cotangent route's integrated R.
     """
-    return evaluate(p, METHOD_DERIVATIVE_SERIES, acc).value
+    return evaluate(p, METHOD_DERIVATIVE_SERIES).value
 
 
-def ladder_delta(n: int, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def ladder_delta(n: int, x: float) -> float:
     """Step of the ladder recursion, g(n+1, x) - g(n, x):
 
         1/(n+1) - int_0^1 [(n+1)(1-u)^n - n(1-u)^(n-1)] log(2 sin(pi x u)) du
-          = -x g'(n+1, x)/(n+1)   (by parts; the series route, or the cotangent route at x = 1)
+          = -x g'(n+1, x)/(n+1)   (by parts; the series route)
     """
     p = GridPoint(n, x)
-    _require_accuracy(acc)
-    return _checked(_ladder_delta(p.n, p.x, acc)).value
+    return _checked(_ladder_delta(p.n, p.x)).value
 
 
 def eval_via_ladder(p: GridPoint, acc: Accuracy = DEFAULT_ACCURACY) -> float:

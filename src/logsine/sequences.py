@@ -24,7 +24,7 @@ import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .config import DEFAULT_ACCURACY, Accuracy, _require_accuracy, _require_int
+from .config import _require_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -32,6 +32,9 @@ if TYPE_CHECKING:
 # Largest admissible m in B_{2m}; far beyond what any series here needs at
 # x <= 1, while keeping the exact rationals small.
 BERNOULLI_MAX_INDEX = 64
+# where the x g' route's zeta(2m) - 1 terms and zeta_even_direct's omitted term stop: below that route's rounding
+# floor, 2 eps (4 + P + M + R + |value|) >= 8 eps ~ 1.8e-15, so a smaller stop would add terms, not accuracy
+SERIES_ABS_TOL = 1e-15
 
 # 40-digit rational approximation of pi. Raising it to the 2m-th power
 # inside the exact-rational zeta computation keeps the relative error near
@@ -177,7 +180,7 @@ def zeta_even_bernoulli(m: int) -> float:
     return numerator / (math.factorial(2 * m) * b_den * pi_den ** (2 * m))
 
 
-def zeta_even_direct(m: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def zeta_even_direct(m: int) -> float:
     """zeta(2m) by direct summation with an Euler-Maclaurin end correction
     (Abramowitz & Stegun 23.1.30).
 
@@ -186,16 +189,15 @@ def zeta_even_direct(m: int, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     s K^(-s-1)/12 - s(s+1)(s+2) K^(-s-3)/720, all in one exactly rounded
     sum. The derivatives of k^(-s) keep one sign, so the first omitted
     term s(s+1)(s+2)(s+3)(s+4) K^(-s-5)/30240 bounds the error, and K is
-    the smallest integer that puts it below acc.series_abs_tol (K = 82 at
-    m = 1 by default). The coefficients are literals: this route must not
+    the smallest integer that puts it below SERIES_ABS_TOL (K = 82 at
+    m = 1). The coefficients are literals: this route must not
     read the Bernoulli table it is checked against.
     """
     _require_int("m", m, 1, 2**53)  # zeta(2m) is 1.0 from m = 27, and s^5 / 30240 stays a float
-    _require_accuracy(acc)
     s = 2 * m
     first_omitted = s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / 30240
-    K = math.ceil((first_omitted / acc.series_abs_tol) ** (1.0 / (s + 5)))
-    while first_omitted * float(K) ** (-s - 5) >= acc.series_abs_tol:
+    K = math.ceil((first_omitted / SERIES_ABS_TOL) ** (1.0 / (s + 5)))
+    while first_omitted * float(K) ** (-s - 5) >= SERIES_ABS_TOL:
         K += 1
     k = float(K)
     terms = [float(j) ** -s for j in range(1, K)]

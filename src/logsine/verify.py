@@ -134,7 +134,7 @@ class AsymptoticAudit(namedtuple("AsymptoticAudit", "kind rows log_slope summary
 _POINT_LABEL = "(n={0.n}, x={0.x:g})"
 
 
-def _run(identity_id: str, grid, label: str, residual, tolerance, notes, acc: Accuracy) -> IdentityReport:
+def _run(identity_id: str, grid, label: str, residual, tolerance, notes, acc=DEFAULT_ACCURACY) -> IdentityReport:
     # label.format(point) names a failing point in the notes. tolerance and
     # notes may be zero-argument callables, read after the last point, for
     # checks whose budget or notes depend on what the points returned.
@@ -190,12 +190,12 @@ def check_derivative(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accuracy = D
 
 
 def check_ladder(grid: Iterable = DEFAULT_LADDER_GRID, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
-    """Direct difference g(n+1, x) - g(n, x) against the step -x g'(n+1, x)/(n+1) of the series route (the
-    cotangent route at x = 1); tolerance 1e-8 from the budgets of two quadratures and the step."""
+    """Direct difference g(n+1, x) - g(n, x) against the step -x g'(n+1, x)/(n+1) of the series route; tolerance
+    1e-8 from the budgets of two quadratures and the step."""
     scale = cache(lambda x: family._scale(x, acc))  # each g(n, x) once: an interior one ends one difference and starts the next
     return _run(
         ID_LADDER, _coerce_grid(grid), _POINT_LABEL,
-        lambda p: abs(scale(p.x).g(p.n + 1).value - scale(p.x).g(p.n).value - ladder_delta(p.n, p.x, acc)),
+        lambda p: abs(scale(p.x).g(p.n + 1).value - scale(p.x).g(p.n).value - ladder_delta(p.n, p.x)),
         TOL_LADDER, lambda: f"tolerance from the error budget of two {acc.quad_rel_tol:g} quadratures and one step", acc,
     )
 
@@ -220,7 +220,7 @@ def check_series_constant(grid: Iterable = DEFAULT_DERIVATIVE_GRID, acc: Accurac
 
     def residual(p: GridPoint) -> float:
         reference = eval_derivative_cot(p, acc)
-        gaps[p] = _derivative_series(p, acc).value - reference
+        gaps[p] = _derivative_series(p).value - reference
         return score(chosen(), p)
 
     def notes() -> str:
@@ -266,17 +266,17 @@ def check_genfunc(
     )
 
 
-def check_bernoulli_zeta(m_max: int = 30, acc: Accuracy = DEFAULT_ACCURACY) -> IdentityReport:
+def check_bernoulli_zeta(m_max: int = 30) -> IdentityReport:
     """Exact-rational Bernoulli route to zeta(2m) against direct summation;
     relative tolerance 1e-12 from the rounding budget of the rational route."""
     _require_int("m_max", m_max, 1, BERNOULLI_MAX_INDEX)  # every m past it fails on the Bernoulli side
 
     def residual(m: int) -> float:
-        direct = zeta_even_direct(m, acc)
+        direct = zeta_even_direct(m)
         return abs(zeta_even_bernoulli(m) - direct) / direct
 
     notes = "relative residuals; tolerance from the rounding budget of the exact-rational route"
-    return _run(ID_BERNOULLI_ZETA, range(1, m_max + 1), "m={0}", residual, TOL_BERNOULLI_ZETA, notes, acc)
+    return _run(ID_BERNOULLI_ZETA, range(1, m_max + 1), "m={0}", residual, TOL_BERNOULLI_ZETA, notes)
 
 
 def _asymptotic_audit(kind: str, points, scale, axis: str, claim: str, acc: Accuracy) -> AsymptoticAudit:

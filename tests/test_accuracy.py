@@ -6,13 +6,14 @@ every stored x at orders 1, 2, 3, 5, 9 and every power of ten to 10^6, so
 it reaches the large-n points where the weight crowds into u ~ 1/n. The
 ladder step is gated at every step of the table up to n = 100, the cot route
 at every x g' value and near x = 1 against the series route, the series
-route at every x g' value with x < 1 and near x = 1 against the integral
-route, and the integral and ladder routes, and the derivative routes through
-the family's differential relation, also against closed forms at x = 1/2
-and 1 that come by another path (the kernel's Fourier series) in stdlib
-Decimal. Every route's bound over these sets is gated at budgets other than
-the default too: quad_rel_tol 1e-4, 1e-8 and 1e-15, series_abs_tol 1e-4 and
-1e-8.
+route at every x g' value (x = 1 through the ladder's step, as the public
+route stops short of it) and near x = 1 against the integral route, and the
+integral and ladder routes, and the derivative routes through the family's
+differential relation, also against closed forms at x = 1/2 and 1 that come
+by another path (the kernel's Fourier series) in stdlib Decimal. The bound of
+every route that reads a quadrature is gated at budgets other than the
+default too: quad_rel_tol 1e-4, 1e-8 and 1e-15. The series route reads no
+budget.
 """
 
 import json
@@ -97,12 +98,30 @@ def test_series_route_error_estimate_is_a_bound(reference):
 
 
 def test_series_route_rejects_x_one(reference):
-    # x g'(n, 1) is finite from n = 2, but the series route stops short of its radius
+    # x g'(n, 1) is finite from n = 2, but the public series route stops short of its radius
     ns = [int(key.split("|")[0]) for key, text in reference["dg"].items() if key.endswith("|1.0") and text is not None]
     assert len(ns) == 89
     for n in ns:
         with pytest.raises(DomainError, match="x < 1 on the series route"):
             evaluate(GridPoint(n, 1.0), method="derivative-series")
+
+
+def test_series_sum_at_x_one_is_a_bound(reference):
+    # the sum the ladder's steps read at x = 1: the zeta(2m) - 1 terms still fall by at least 4x there, so the tail
+    # bound holds at the radius too, and M = n/(n-1) is a closed form
+    rows = []
+    for key, text in reference["dg"].items():
+        n, x = int(key.split("|")[0]), float(key.split("|")[1])
+        if x == 1.0 and text is not None:
+            ev = family._derivative_series(GridPoint(n, x))
+            ref = Fraction(text)
+            abs_err = float(abs(Fraction(ev.value) - ref))
+            relative = abs_err / max(abs(float(ref)), 1.0)
+            rows.append((n, abs_err <= ev.err_estimate + 4 * EPS * abs(ev.value), relative, ev.evaluations))
+    assert len(rows) == 89 and min(r[0] for r in rows) == 2
+    assert [r[0] for r in rows if not r[1]] == []
+    assert max(r[2] for r in rows) <= 1e-15
+    assert max(r[3] for r in rows) <= 30
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 10, 64])
@@ -143,7 +162,7 @@ def ladder_counts(reference, acc):
     return points, violations
 
 
-def step_counts(reference, acc):
+def step_counts(reference):
     # (steps, violations) over every step g(n+1) - g(n), n <= 100, that the table holds both ends of
     table = {}
     for key, text in reference["g"].items():
@@ -153,7 +172,7 @@ def step_counts(reference, acc):
     steps = violations = 0
     for x, g in table.items():
         for n in sorted(k for k in g if k <= 100 and k + 1 in g):
-            ev = family._ladder_delta(n, x, acc)
+            ev = family._ladder_delta(n, x)
             steps += 1
             assert ev.converged and ev.err_estimate > 0.0
             violations += float(abs(Fraction(ev.value) - (g[n + 1] - g[n]))) > ev.err_estimate + 4 * EPS * abs(ev.value)
@@ -165,37 +184,32 @@ def test_ladder_route_error_estimate_is_a_bound(reference):
 
 
 def test_ladder_step_error_estimate_is_a_bound(reference):
-    assert step_counts(reference, DEFAULT_ACCURACY) == (10582, 0)
+    assert step_counts(reference) == (10582, 0)
 
 
-# budgets other than the default, each route at the tolerance it reads: the quadrature routes at quad_rel_tol, the
-# series route at series_abs_tol, and the ladder route and its steps, which read an integral and then the series
-# route (the cot route at x = 1), at both
+# budgets other than the default, for each route that reads one: the quadrature routes, and the ladder route, whose
+# g(1, x) is an integral; its steps are series sums, which read no budget
 QUAD_BUDGETS = {f"quad_rel_tol={t:g}": Accuracy(quad_rel_tol=t) for t in (1e-4, 1e-8, 1e-15)}
-SERIES_BUDGETS = {f"series_abs_tol={t:g}": Accuracy(series_abs_tol=t) for t in (1e-4, 1e-8)}
 BUDGET_SETS = {  # route -> (table, points kept, their count)
     "integral": ("g", lambda n, x: n in ORDERS, 2225),
     "derivative-cot": ("dg", lambda n, x: True, 6029),
-    "derivative-series": ("dg", lambda n, x: x < 1.0, 5940),
 }
 
 
 @pytest.mark.parametrize("method, budget", [
-    (method, budget) for method in ("integral", "derivative-cot") for budget in QUAD_BUDGETS
-] + [("derivative-series", budget) for budget in SERIES_BUDGETS])
+    (method, budget) for method in BUDGET_SETS for budget in QUAD_BUDGETS
+])
 def test_routes_bound_their_error_at_other_budgets(reference, method, budget):
     # a route that runs out of budget raises NonConvergenceError, which fails the test too
     table, keep, count = BUDGET_SETS[method]
-    rows = errors(reference[table], method, keep, {**QUAD_BUDGETS, **SERIES_BUDGETS}[budget])
+    rows = errors(reference[table], method, keep, QUAD_BUDGETS[budget])
     assert len(rows) == count
     assert [r[0] for r in rows if r[3] > r[2] + 4 * EPS * abs(r[1])] == []
 
 
-@pytest.mark.parametrize("budget", list(QUAD_BUDGETS) + list(SERIES_BUDGETS))
+@pytest.mark.parametrize("budget", list(QUAD_BUDGETS))
 def test_ladder_bounds_its_error_at_other_budgets(reference, budget):
-    acc = {**QUAD_BUDGETS, **SERIES_BUDGETS}[budget]
-    assert ladder_counts(reference, acc) == (1957, 0)
-    assert step_counts(reference, acc) == (10582, 0)
+    assert ladder_counts(reference, QUAD_BUDGETS[budget]) == (1957, 0)
 
 
 def _pi_decimal():

@@ -145,6 +145,17 @@ class TestEval:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --max-terms 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--n", "1", "--x", "0.8", "--method", "derivative-series"],
+        ["verify", "--only", "bernoulli_zeta"],
+    ])
+    def test_series_tol_flag_is_gone_exit_2(self, capsys, command):
+        # both series stop at one fixed bound, below the x g' route's rounding floor: there is no tolerance to set
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(command + ["--series-tol", "1e-10"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --series-tol 1e-10" in capsys.readouterr().err
+
     def test_series_near_one(self, capsys):
         # x g'(1, 0.9999) = -4 + P + M + R; the capped loop printed 3.6966 here with exit 0
         code, out, _ = run(capsys, "eval", "--n", "1", "--x", "0.9999", "--method", "derivative-series")
@@ -153,10 +164,7 @@ class TestEval:
         assert (record["value"], record["evaluations"]) == ("6.3733006520804", "23")
 
     def test_tolerance_flags_accepted(self, capsys):
-        code, out, _ = run(
-            capsys, "eval", "--n", "1", "--x", "0.5",
-            "--quad-tol", "1e-8", "--series-tol", "1e-10",
-        )
+        code, out, _ = run(capsys, "eval", "--n", "1", "--x", "0.5", "--quad-tol", "1e-8")
         assert code == 0
         assert float(parse_plain(out.splitlines()[0])["value"]) == pytest.approx(G_1_HALF, abs=1e-7)
 
@@ -165,7 +173,6 @@ class TestEval:
         [
             ("--quad-tol", "nan"),
             ("--quad-tol", "inf"),
-            ("--series-tol", "nan", "--method", "derivative-series"),
         ],
     )
     def test_tolerance_not_finite_exit_2(self, capsys, flags):
@@ -287,9 +294,9 @@ class TestTableLadderClimb:
         steps = []
         step = family._ladder_delta
 
-        def counting(n, x, acc):
+        def counting(n, x):
             steps.append(x)
-            return step(n, x, acc)
+            return step(n, x)
 
         monkeypatch.setattr(family, "_ladder_delta", counting)
         code, _ = table_rows(monkeypatch, "--n-list", "3,1,2,3", "--x-list", "0.5,0.5,0.25")
@@ -592,11 +599,8 @@ VALID_COMMANDS = {
     "audit": ["audit", "--only", "small-x,large-n", "--n", "1", "--x", "0.5"],
 }
 BAD_FLAG_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e400", "1" + "0" * 400, "1.5", "x", ""]
-# catalogue values that are valid for a flag, and the exit code they give: 1.5 is a finite positive tolerance,
-# though one so loose that bernoulli_zeta's direct sum misses the check (exit 1, a verification failure)
-VALID_FLAG_VALUES = {(command, flag): {"1.5": 0} for command in VALID_COMMANDS
-                     for flag in ("--quad-tol", "--series-tol")}
-VALID_FLAG_VALUES["verify", "--series-tol"] = {"1.5": 1}
+# catalogue values that are valid for a flag, and the exit code they give: 1.5 is a finite positive tolerance
+VALID_FLAG_VALUES = {(command, "--quad-tol"): {"1.5": 0} for command in VALID_COMMANDS}
 
 
 class TestBadFlagCatalogue:
@@ -604,7 +608,7 @@ class TestBadFlagCatalogue:
     # traceback
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, argv in VALID_COMMANDS.items() for flag in argv[1::2]
-    ] + [(command, flag) for command in VALID_COMMANDS for flag in ("--quad-tol", "--series-tol")])
+    ] + [(command, "--quad-tol") for command in VALID_COMMANDS])
     def test_bad_value_exits_2(self, capsys, command, flag):
         outcomes = {}
         for bad in BAD_FLAG_VALUES:

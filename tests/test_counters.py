@@ -48,8 +48,8 @@ class Counter:
         return counting
 
     def series(self, route):
-        def counting(p, acc):
-            ev = route(p, acc)
+        def counting(p):
+            ev = route(p)
             self.series_terms += ev.evaluations
             return ev
 

@@ -138,11 +138,7 @@ class TestAccuracy:
             ("quad_rel_tol", math.nan),
             ("quad_rel_tol", math.inf),
             ("quad_rel_tol", 0.0),
-            ("series_abs_tol", math.nan),
-            ("series_abs_tol", math.inf),
-            ("series_abs_tol", -1e-15),
             ("quad_rel_tol", "1e-12"),
-            ("series_abs_tol", None),
             ("max_quad_refinements", 2.5),
             ("max_quad_refinements", True),
             ("max_quad_refinements", 0),
@@ -151,9 +147,7 @@ class TestAccuracy:
             ("max_quad_refinements", 2),
             # a tolerance that converts to no finite float overflows where it is used
             ("quad_rel_tol", 10**400),
-            ("series_abs_tol", 10**400),
             ("quad_rel_tol", Fraction(10**400)),
-            ("series_abs_tol", Decimal("1e400")),
             # the engine caches every level it reaches, so a runaway budget is refused before any work
             ("max_quad_refinements", MAX_QUAD_REFINEMENTS + 1),
         ],
@@ -166,10 +160,12 @@ class TestAccuracy:
         assert Accuracy(max_quad_refinements=np.int64(3)).max_quad_refinements == 3
 
     def test_no_series_term_cap(self):
-        # the split series proves its own tail, so no budget caps its terms
-        assert Accuracy._fields == ("quad_rel_tol", "series_abs_tol", "max_quad_refinements")
-        with pytest.raises(TypeError):
-            Accuracy(max_series_terms=200)
+        # the split series proves its own tail and stops at sequences.SERIES_ABS_TOL, so no budget caps its terms
+        # or sets its stop
+        assert Accuracy._fields == ("quad_rel_tol", "max_quad_refinements")
+        for field in ("max_series_terms", "series_abs_tol"):
+            with pytest.raises(TypeError):
+                Accuracy(**{field: 200})
 
     def test_refinement_budget_accepted_up_to_the_cap(self):
         assert Accuracy(max_quad_refinements=MAX_QUAD_REFINEMENTS).max_quad_refinements == MAX_QUAD_REFINEMENTS
@@ -205,7 +201,7 @@ class TestIntegralRoute:
         # g(1, 1) = 1 - log(2 pi), as Cl_2(2 pi) = 0, and the step to g(2, 1) is H_2 - H_1 = 1/2: no quadrature,
         # and each a positive rounding estimate
         calls = count_quadratures(monkeypatch)
-        g, step = family._integral(GridPoint(1, 1.0), DEFAULT_ACCURACY), family._ladder_delta(1, 1.0, DEFAULT_ACCURACY)
+        g, step = family._integral(GridPoint(1, 1.0), DEFAULT_ACCURACY), family._ladder_delta(1, 1.0)
         assert (g.value, g.evaluations, g.converged) == (1.0 - math.log(2.0 * math.pi), 0, True)
         assert (step.value, step.evaluations, step.converged) == (0.5, 0, True)
         assert g.err_estimate > 0.0 and step.err_estimate > 0.0
@@ -293,7 +289,7 @@ class TestNonConvergence:
         monkeypatch.setattr(family, "integrate_de", counting)
         with pytest.raises(NonConvergenceError) as excinfo:
             evaluate(GridPoint(3, 0.5), method="ladder", acc=STARVED)
-        terms = sum(family._derivative_series(GridPoint(n, 0.5), STARVED).evaluations for n in (2, 3))
+        terms = sum(family._derivative_series(GridPoint(n, 0.5)).evaluations for n in (2, 3))
         assert len(samples) == 1
         assert excinfo.value.result.evaluations == samples[0] + terms
 
@@ -345,7 +341,7 @@ class TestLadderCap:
         calls = count_quadratures(monkeypatch)
         steps = []
         series = family._derivative_series
-        monkeypatch.setattr(family, "_derivative_series", lambda p, acc: steps.append(series(p, acc)) or steps[-1])
+        monkeypatch.setattr(family, "_derivative_series", lambda p: steps.append(series(p)) or steps[-1])
         ev = evaluate(GridPoint(LADDER_MAX_ORDER, 0.5), method="ladder")
         assert (len(calls), len(steps)) == (1, LADDER_MAX_ORDER - 1)
         assert ev.evaluations == evaluate(GridPoint(1, 0.5)).evaluations + sum(step.evaluations for step in steps)
@@ -361,6 +357,16 @@ class TestDerivativeRoutes:
             evaluate(GridPoint(1, 1.0), method="derivative-cot")
         with pytest.raises(DomainError):
             eval_derivative_cot(GridPoint(1, 1.0))
+
+    @pytest.mark.parametrize("route", [
+        pytest.param(family._derivative_series, id="series"),
+        pytest.param(lambda p: family._derivative_cot(p, DEFAULT_ACCURACY), id="cot"),
+    ])
+    def test_both_routes_refuse_order_one_at_x_one_with_one_message(self, monkeypatch, route):
+        # _poles refuses (1, 1) for both, before the cot route's quadrature
+        count_quadratures(monkeypatch, lambda f, acc: pytest.fail("quadrature ran"))
+        with pytest.raises(DomainError, match=r"^the derivative diverges like log\(1-x\) at n = 1, x = 1$"):
+            route(GridPoint(1, 1.0))
 
     def test_cot_route_at_x_one_from_order_two(self):
         # the weight's (1-u) factor cancels the log(1-u) divergence for n >= 2
@@ -452,7 +458,7 @@ class TestLadderRoute:
         path = [best_estimate(climb, n) for n in range(1, 7)]
         assert path[-1] is top
         parts = [family._integral(GridPoint(1, 0.3), acc)]
-        parts += [family._ladder_delta(k, 0.3, acc) for k in range(1, 6)]
+        parts += [family._ladder_delta(k, 0.3) for k in range(1, 6)]
         value, err, evaluations, converged = 0.0, 0.0, 0, True
         for n, (rung, part) in enumerate(zip(path, parts, strict=True), start=1):
             value += part.value
@@ -475,11 +481,11 @@ class TestSharedClimb:
         steps = []
         step = family._ladder_delta
 
-        def failing(n, x, acc):
+        def failing(n, x):
             steps.append((n, x))
             if x == 0.5:
                 raise NonFiniteSampleError("injected")
-            return step(n, x, acc)
+            return step(n, x)
 
         monkeypatch.setattr(family, "_ladder_delta", failing)
         scales = {x: family._scale(x, DEFAULT_ACCURACY) for x in (0.3, 0.5)}
@@ -654,19 +660,15 @@ class TestInputContract:
         "evaluate": lambda acc: evaluate(GridPoint(1, 1.0), "integral", acc),
         "eval_integral": lambda acc: eval_integral(GridPoint(1, 1.0), acc),
         "eval_derivative_cot": lambda acc: eval_derivative_cot(GridPoint(2, 0.5), acc),
-        "eval_derivative_series": lambda acc: eval_derivative_series(GridPoint(2, 0.5), acc),
         "eval_via_ladder": lambda acc: eval_via_ladder(GridPoint(2, 1.0), acc),
-        "ladder_delta": lambda acc: ladder_delta(1, 1.0, acc),
         "genfunc_closed": lambda acc: genfunc_closed(GenfuncPoint(0.5, 0.3), acc),
         "genfunc_partial": lambda acc: genfunc_partial(1.0, 0.3, 1, acc),
         "genfunc_tail_bound": lambda acc: genfunc_tail_bound(1.0, 0.3, 1, acc),
         "integrate_de": lambda acc: logsine.integrate_de(pointwise(lambda u: u), acc),
-        "zeta_even_direct": lambda acc: zeta_even_direct(1, acc),
         "check_derivative": lambda acc: logsine.check_derivative(acc=acc),
         "check_ladder": lambda acc: logsine.check_ladder([(1, 1.0)], acc=acc),
         "check_series_constant": lambda acc: logsine.check_series_constant(acc=acc),
         "check_genfunc": lambda acc: check_genfunc(acc=acc),
-        "check_bernoulli_zeta": lambda acc: check_bernoulli_zeta(acc=acc),
         "audit_small_x": lambda acc: logsine.audit_small_x(1, xs=(1.0,), acc=acc),
         "audit_large_n": lambda acc: audit_large_n(1.0, ns=(1,), acc=acc),
         "audit_table": lambda acc: audit_table(acc),
@@ -686,7 +688,7 @@ class TestInputContract:
     def test_the_x_one_calls_need_no_quadrature(self, monkeypatch):
         # so only an acc check of their own rejects a stray budget there
         count_quadratures(monkeypatch, lambda f, acc: pytest.fail("quadrature ran"))
-        for name in ("evaluate", "eval_integral", "ladder_delta", "genfunc_partial", "audit_small_x", "audit_large_n"):
+        for name in ("evaluate", "eval_integral", "genfunc_partial", "audit_small_x", "audit_large_n"):
             self.ACC_CALLS[name](DEFAULT_ACCURACY)
 
     @pytest.mark.parametrize("call", [
@@ -708,21 +710,21 @@ class TestInputContract:
 
 # every public name that takes input, with a valid value for each of its parameters
 VALID_CALLS = {
-    "Accuracy": dict(quad_rel_tol=1e-12, series_abs_tol=1e-15, max_quad_refinements=12),
+    "Accuracy": dict(quad_rel_tol=1e-12, max_quad_refinements=12),
     "GenfuncPoint": dict(x=0.5, z=0.3),
     "GridPoint": dict(n=3, x=0.5),
     "audit_large_n": dict(x=0.5, ns=(10,), acc=DEFAULT_ACCURACY),
     "audit_small_x": dict(n=1, xs=(0.01,), acc=DEFAULT_ACCURACY),
     "audit_table": dict(acc=DEFAULT_ACCURACY),
     "bernoulli_even": dict(m=3),
-    "check_bernoulli_zeta": dict(m_max=2, acc=DEFAULT_ACCURACY),
+    "check_bernoulli_zeta": dict(m_max=2),
     "check_derivative": dict(grid=[(1, 0.5)], acc=DEFAULT_ACCURACY),
     "check_genfunc": dict(xs=(0.5,), zs=(0.3,), N=2, acc=DEFAULT_ACCURACY),
     "check_ladder": dict(grid=[(1, 0.5)], acc=DEFAULT_ACCURACY),
     "check_series_constant": dict(grid=[(1, 0.5)], acc=DEFAULT_ACCURACY),
     "cot_kernel": dict(x=0.5, u=0.5),
     "eval_derivative_cot": dict(p=(2, 0.5), acc=DEFAULT_ACCURACY),
-    "eval_derivative_series": dict(p=(2, 0.5), acc=DEFAULT_ACCURACY),
+    "eval_derivative_series": dict(p=(2, 0.5)),
     "eval_integral": dict(p=(2, 0.5), acc=DEFAULT_ACCURACY),
     "eval_via_ladder": dict(p=(2, 0.5), acc=DEFAULT_ACCURACY),
     "evaluate": dict(p=(2, 0.5), method="integral", acc=DEFAULT_ACCURACY),
@@ -732,11 +734,11 @@ VALID_CALLS = {
     "genfunc_tail_bound": dict(x=0.5, z=0.3, N=2, acc=DEFAULT_ACCURACY),
     "harmonic": dict(n=3),
     "integrate_de": dict(f=from_samples(lambda us: [u * u for u in us]), acc=DEFAULT_ACCURACY),
-    "ladder_delta": dict(n=2, x=0.5, acc=DEFAULT_ACCURACY),
+    "ladder_delta": dict(n=2, x=0.5),
     "log_sin_kernel": dict(x=0.5, u=0.5),
     "weight": dict(n=3, u=0.5),
     "zeta_even_bernoulli": dict(m=3),
-    "zeta_even_direct": dict(m=3, acc=DEFAULT_ACCURACY),
+    "zeta_even_direct": dict(m=3),
 }
 # records the package returns, which check only their own consistency
 RESULT_RECORDS = {"Evaluation", "IdentityReport", "AuditRow", "AsymptoticRow", "TableAudit", "AsymptoticAudit"}
@@ -754,7 +756,7 @@ ACCEPTED = {
     ("bernoulli_even", "m", "0"),  # B_0 = 1
     ("GenfuncPoint", "z", "0"), ("genfunc_partial", "z", "0"), ("genfunc_tail_bound", "z", "0"),
     ("cot_kernel", "u", "0"), ("weight", "u", "0"),
-    ("Accuracy", "quad_rel_tol", "Fraction"), ("Accuracy", "series_abs_tol", "Fraction"),
+    ("Accuracy", "quad_rel_tol", "Fraction"),
 }
 
 
@@ -827,7 +829,7 @@ class TestRecords:
 
     def test_keyword_construction_and_defaults(self):
         assert Accuracy() == DEFAULT_ACCURACY
-        assert Accuracy(series_abs_tol=1e-12).series_abs_tol == 1e-12
+        assert Accuracy(quad_rel_tol=1e-10).quad_rel_tol == 1e-10
         assert GridPoint(n=3, x=0.5) == GridPoint(3, 0.5)
         assert GenfuncPoint(z=0.3, x=0.5) == GenfuncPoint(0.5, 0.3)
         with pytest.raises(DomainError, match="z must be real"):
@@ -954,18 +956,17 @@ class TestAveragedIntegrand:
 
 
 class TestLadderStep:
-    # g(n+1, x) - g(n, x) = -x g'(n+1, x)/(n+1): the step from n is the series route's value at n + 1, or the cot
-    # route's at x = 1, divided by -(n+1), with its estimate plus one eps of it for the division; the order-1 step
-    # at x = 1 is a closed form
+    # g(n+1, x) - g(n, x) = -x g'(n+1, x)/(n+1): the step from n is the series route's value at n + 1, x = 1 included,
+    # divided by -(n+1), with its estimate plus one eps of it for the division; the order-1 step at x = 1 is a closed
+    # form
     @pytest.mark.parametrize("n, x", [
         pytest.param(n, x, id=f"{n}-{x:g}") for n in ORDERS for x in (1e-4, 0.5, 0.9999, 1.0) if (n, x) != (1, 1.0)
     ])
     def test_step_is_the_scaled_derivative_one_order_up_bit_for_bit(self, n, x):
-        route = family._derivative_series if x < 1.0 else family._derivative_cot
-        d = route(GridPoint(n + 1, x), DEFAULT_ACCURACY)
+        d = family._derivative_series(GridPoint(n + 1, x))
         step = Evaluation(-d.value / (n + 1), (d.err_estimate + sys.float_info.epsilon * abs(d.value)) / (n + 1),
                           d.evaluations, d.converged)
-        assert fields(family._ladder_delta(n, x, DEFAULT_ACCURACY)) == fields(step)
+        assert fields(family._ladder_delta(n, x)) == fields(step)
 
 class TestNonFiniteKernelSample:
     # a kernel sample that is NaN at one node before the stop is named by its abscissa,
@@ -1032,7 +1033,7 @@ class TestSharedKernelRow:
         climb = family._scale(0.3, DEFAULT_ACCURACY).rung
         top = climb(12)
         assert len(calls) == len(set(calls)) == climb(1).evaluations
-        terms = sum(family._derivative_series(GridPoint(n, 0.3), DEFAULT_ACCURACY).evaluations for n in range(2, 13))
+        terms = sum(family._derivative_series(GridPoint(n, 0.3)).evaluations for n in range(2, 13))
         assert top.evaluations == climb(1).evaluations + terms
 
     def test_single_point_route_skips_underflowed_weights(self, monkeypatch):

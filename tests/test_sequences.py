@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given
 
 from logsine import (
-    Accuracy,
     DomainError,
     bernoulli_even,
     harmonic,
@@ -215,10 +214,6 @@ class TestZetaEven:
         # half an ulp of 1, at m = 20 it rounds to exactly 2^(-40)
         assert zeta_even_direct(30) == 1.0
         assert zeta_even_direct(20) - 1.0 == pytest.approx(2.0**-40, rel=1e-6, abs=0)
-
-    def test_direct_route_honors_tolerance_parameter(self):
-        loose = zeta_even_direct(1, Accuracy(series_abs_tol=1e-6))
-        assert loose == pytest.approx(math.pi**2 / 6.0, abs=1e-5)
 
     @given(st.integers(min_value=1, max_value=64))
     def test_routes_agree(self, m):

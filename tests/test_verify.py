@@ -117,9 +117,9 @@ class TestChecks:
         calls = []
         series = family._derivative_series
 
-        def counting(p, acc):
+        def counting(p):
             calls.append(p)
-            return series(p, acc)
+            return series(p)
 
         monkeypatch.setattr(verify, "_derivative_series", counting)
         report = check_series_constant()
@@ -127,7 +127,7 @@ class TestChecks:
         # the route adds the corrected constant -2; the printed -1 shifts its gap to the cot route by 1
         residuals = {"as_printed": [], "corrected": []}
         for p in verify.DEFAULT_DERIVATIVE_GRID:
-            gap = series(p, Accuracy()).value - family.eval_derivative_cot(p)
+            gap = series(p).value - family.eval_derivative_cot(p)
             residuals["as_printed"].append(abs(gap + 1.0))
             residuals["corrected"].append(abs(gap))
         assert report.max_abs_residual == max(residuals["corrected"])
@@ -137,6 +137,19 @@ class TestChecks:
             f"as_printed={sum(r <= 1e-8 for r in residuals['as_printed'])}, "
             f"corrected={sum(r <= 1e-8 for r in residuals['corrected'])}"
         )
+
+    def test_series_constant_at_x_one(self):
+        # the series sum answers x = 1 from n = 2, as the ladder's steps read it there
+        report = check_series_constant(grid=[(2, 1.0), (5, 1.0)])
+        assert report.passed
+        assert report.notes == ("matching variant: corrected (constant -2); per-variant match counts over 2 points: "
+                                "as_printed=0, corrected=2")
+
+    def test_series_constant_fails_where_the_derivative_diverges(self):
+        report = check_series_constant(grid=[(2, 1.0), (1, 1.0)])
+        assert not report.passed and report.max_abs_residual == math.inf
+        assert report.notes.endswith(
+            "; evaluation failures: (n=1, x=1): the derivative diverges like log(1-x) at n = 1, x = 1")
 
     def test_genfunc_passes(self):
         report = check_genfunc()
