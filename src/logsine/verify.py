@@ -27,7 +27,8 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from . import family
-from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_point, _require_accuracy, _require_int
+from .config import DEFAULT_ACCURACY, Accuracy, GenfuncPoint, GridPoint, _as_point, _is_real, _require_accuracy
+from .config import _require_int, _require_tolerance
 from .errors import DomainError, QuadratureError
 from .family import (
     _derivative_series,
@@ -91,10 +92,15 @@ class IdentityReport(namedtuple("IdentityReport", "identity_id grid max_abs_resi
 
     def __new__(cls, identity_id: str, grid: tuple, max_abs_residual: float, tolerance: float, passed: bool,
                 notes: str):
-        if not grid:
-            raise DomainError("grid must be non-empty")
-        if passed != (max_abs_residual <= tolerance):
-            raise ValueError("passed must equal (max_abs_residual <= tolerance)")
+        if not isinstance(identity_id, str) or not isinstance(notes, str):
+            raise DomainError("identity_id and notes must be strings")
+        if type(grid) is not tuple or not grid:  # a tuple keeps the record immutable
+            raise DomainError("grid must be a non-empty tuple")
+        if not _is_real(max_abs_residual) or not max_abs_residual >= 0:  # inf where a point failed; never NaN
+            raise DomainError("max_abs_residual must be a real number >= 0")
+        _require_tolerance("tolerance", tolerance)
+        if not isinstance(passed, bool) or passed != (max_abs_residual <= tolerance):
+            raise DomainError("passed must be the bool (max_abs_residual <= tolerance)")
         return super().__new__(cls, identity_id, grid, max_abs_residual, tolerance, passed, notes)
 
 

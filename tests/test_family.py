@@ -713,6 +713,7 @@ VALID_CALLS = {
     "Accuracy": dict(quad_rel_tol=1e-12, max_quad_refinements=12),
     "GenfuncPoint": dict(x=0.5, z=0.3),
     "GridPoint": dict(n=3, x=0.5),
+    "IdentityReport": dict(identity_id="id", grid=(1,), max_abs_residual=0.0, tolerance=1.0, passed=True, notes=""),
     "audit_large_n": dict(x=0.5, ns=(10,), acc=DEFAULT_ACCURACY),
     "audit_small_x": dict(n=1, xs=(0.01,), acc=DEFAULT_ACCURACY),
     "audit_table": dict(acc=DEFAULT_ACCURACY),
@@ -741,7 +742,7 @@ VALID_CALLS = {
     "zeta_even_direct": dict(m=3),
 }
 # records the package returns, which check only their own consistency
-RESULT_RECORDS = {"Evaluation", "IdentityReport", "AuditRow", "AsymptoticRow", "TableAudit", "AsymptoticAudit"}
+RESULT_RECORDS = {"Evaluation", "AuditRow", "AsymptoticRow", "TableAudit", "AsymptoticAudit"}
 # the catalogue of bad values; the huge int reaches only names that refuse it before any work, or that take any
 # order in bounded time (GridPoint, harmonic)
 BAD_VALUES = {
@@ -757,6 +758,10 @@ ACCEPTED = {
     ("GenfuncPoint", "z", "0"), ("genfunc_partial", "z", "0"), ("genfunc_tail_bound", "z", "0"),
     ("cot_kernel", "u", "0"), ("weight", "u", "0"),
     ("Accuracy", "quad_rel_tol", "Fraction"),
+    # a report's grid entries are whatever its check scores (points, pairs or ints), and a residual of 0 passes
+    ("IdentityReport", "identity_id", "str"), ("IdentityReport", "notes", "str"), ("IdentityReport", "grid", "tuple"),
+    ("IdentityReport", "max_abs_residual", "0"), ("IdentityReport", "tolerance", "Fraction"),
+    ("IdentityReport", "passed", "bool"),
 }
 
 
