@@ -35,7 +35,7 @@ METHOD_DERIVATIVE_SERIES = "derivative-series"
 METHODS = (METHOD_INTEGRAL, METHOD_LADDER, METHOD_DERIVATIVE_COT, METHOD_DERIVATIVE_SERIES)
 
 # highest order the ladder climbs to: one series evaluation per rung (a few us),
-# so a climb ends in about a tenth of a second
+# so a climb ends in under a quarter of a second
 LADDER_MAX_ORDER = 10_000
 
 _EPS = math.ulp(1.0)
