@@ -208,6 +208,14 @@ def test_routes_bound_their_error_at_other_budgets(reference, method, budget):
 
 
 @pytest.mark.parametrize("budget", list(QUAD_BUDGETS))
+def test_series_route_reads_no_budget(reference, budget):
+    # every x g' value with x < 1 comes out bit for bit the same at any budget, so the default's gate covers them all
+    keep = lambda n, x: x < 1.0
+    assert errors(reference["dg"], "derivative-series", keep, QUAD_BUDGETS[budget]) == errors(
+        reference["dg"], "derivative-series", keep)
+
+
+@pytest.mark.parametrize("budget", list(QUAD_BUDGETS))
 def test_ladder_bounds_its_error_at_other_budgets(reference, budget):
     assert ladder_counts(reference, QUAD_BUDGETS[budget]) == (1957, 0)
 

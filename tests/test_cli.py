@@ -173,6 +173,8 @@ class TestEval:
         [
             ("--quad-tol", "nan"),
             ("--quad-tol", "inf"),
+            # the series route reads no budget, yet a budget it is handed must still be a valid one
+            ("--quad-tol", "nan", "--method", "derivative-series"),
         ],
     )
     def test_tolerance_not_finite_exit_2(self, capsys, flags):
@@ -185,6 +187,21 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--n", "1", "--x", "1", "--method", "derivative-series")
         assert code == 2
         assert "series" in err
+
+    @pytest.mark.parametrize("n", ["2", "5"])
+    def test_series_route_refuses_x_one_where_the_derivative_is_finite(self, capsys, n):
+        # the ladder reads x g'(n, 1) from the series sum, but the public route still stops short of its radius
+        code, out, err = run(capsys, "eval", "--n", n, "--x", "1", "--method", "derivative-series")
+        assert (code, out) == (2, "")
+        assert "x must satisfy x < 1 on the series route" in err
+
+    def test_ladder_at_x_one_reads_no_quadrature(self, capsys):
+        # g(1, 1) is a closed form and each step a series sum: the evaluations are the sum's terms
+        code, out, _ = run(capsys, "eval", "--n", "5", "--x", "1", "--method", "ladder")
+        assert code == 0
+        record = parse_plain(out.splitlines()[0])
+        assert (record["value"], record["err_estimate"], record["evaluations"]) == (
+            "0.974587293589167", "1.1496048943058e-14", "54")
 
 
 class TestTable:
@@ -599,7 +616,8 @@ VALID_COMMANDS = {
     "audit": ["audit", "--only", "small-x,large-n", "--n", "1", "--x", "0.5"],
 }
 BAD_FLAG_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e400", "1" + "0" * 400, "1.5", "x", ""]
-# catalogue values that are valid for a flag, and the exit code they give: 1.5 is a finite positive tolerance
+# catalogue values that are valid for a flag, and the exit code they give: 1.5 is a finite positive tolerance; the
+# series routes stop at one fixed bound, so --series-tol is no flag and every value of it is refused
 VALID_FLAG_VALUES = {(command, "--quad-tol"): {"1.5": 0} for command in VALID_COMMANDS}
 
 
@@ -608,7 +626,7 @@ class TestBadFlagCatalogue:
     # traceback
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, argv in VALID_COMMANDS.items() for flag in argv[1::2]
-    ] + [(command, "--quad-tol") for command in VALID_COMMANDS])
+    ] + [(command, flag) for command in VALID_COMMANDS for flag in ("--quad-tol", "--series-tol")])
     def test_bad_value_exits_2(self, capsys, command, flag):
         outcomes = {}
         for bad in BAD_FLAG_VALUES:

@@ -138,7 +138,9 @@ class TestAccuracy:
             ("quad_rel_tol", math.nan),
             ("quad_rel_tol", math.inf),
             ("quad_rel_tol", 0.0),
+            ("quad_rel_tol", -1e-15),
             ("quad_rel_tol", "1e-12"),
+            ("quad_rel_tol", None),
             ("max_quad_refinements", 2.5),
             ("max_quad_refinements", True),
             ("max_quad_refinements", 0),
@@ -148,6 +150,7 @@ class TestAccuracy:
             # a tolerance that converts to no finite float overflows where it is used
             ("quad_rel_tol", 10**400),
             ("quad_rel_tol", Fraction(10**400)),
+            ("quad_rel_tol", Decimal("1e400")),
             # the engine caches every level it reaches, so a runaway budget is refused before any work
             ("max_quad_refinements", MAX_QUAD_REFINEMENTS + 1),
         ],
@@ -345,6 +348,15 @@ class TestLadderCap:
         ev = evaluate(GridPoint(LADDER_MAX_ORDER, 0.5), method="ladder")
         assert (len(calls), len(steps)) == (1, LADDER_MAX_ORDER - 1)
         assert ev.evaluations == evaluate(GridPoint(1, 0.5)).evaluations + sum(step.evaluations for step in steps)
+
+    @pytest.mark.parametrize("n", [2, 5, 40, LADDER_MAX_ORDER])
+    def test_a_climb_at_x_one_runs_no_quadrature(self, monkeypatch, n):
+        # g(1, 1) is a closed form and every step a series sum, so no budget reaches the climb there
+        count_quadratures(monkeypatch, lambda f, acc: pytest.fail("quadrature ran"))
+        ev = evaluate(GridPoint(n, 1.0), method="ladder")
+        steps = [family._ladder_delta(k, 1.0) for k in range(1, n)]
+        assert ev.converged and ev.evaluations == sum(step.evaluations for step in steps)
+        assert fields(evaluate(GridPoint(n, 1.0), method="ladder", acc=STARVED)) == fields(ev)
 
 
 class TestDerivativeRoutes:
@@ -684,6 +696,12 @@ class TestInputContract:
     def test_non_accuracy_rejected(self, name, acc):
         with pytest.raises(DomainError, match="^acc must be an Accuracy record"):
             self.ACC_CALLS[name](acc)
+
+    @pytest.mark.parametrize("acc", [None, 1e-12, DEFAULT_ACCURACY._asdict()], ids=["None", "float", "dict"])
+    def test_series_route_rejects_a_non_accuracy_it_does_not_read(self, acc):
+        # the series route reads no budget, but evaluate refuses a stray one on every route alike
+        with pytest.raises(DomainError, match="^acc must be an Accuracy record"):
+            evaluate(GridPoint(2, 0.5), "derivative-series", acc)
 
     def test_the_x_one_calls_need_no_quadrature(self, monkeypatch):
         # so only an acc check of their own rejects a stray budget there

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import subprocess
@@ -214,6 +215,12 @@ class TestZetaEven:
         # half an ulp of 1, at m = 20 it rounds to exactly 2^(-40)
         assert zeta_even_direct(30) == 1.0
         assert zeta_even_direct(20) - 1.0 == pytest.approx(2.0**-40, rel=1e-6, abs=0)
+
+    def test_direct_route_stops_at_the_module_bound(self):
+        # the Euler-Maclaurin remainder is below sequences.SERIES_ABS_TOL, so zeta(2) = pi^2/6 is met to that bound
+        # plus the sum's rounding, and no budget is read
+        assert list(inspect.signature(zeta_even_direct).parameters) == ["m"]
+        assert abs(zeta_even_direct(1) - math.pi**2 / 6.0) <= sequences.SERIES_ABS_TOL + 4 * sys.float_info.epsilon
 
     @given(st.integers(min_value=1, max_value=64))
     def test_routes_agree(self, m):
