@@ -1,4 +1,4 @@
-"""Evaluation points and accuracy budgets.
+"""Evaluation points and the quadrature tolerance.
 
 Everything downstream is a pure function of these immutable records, so
 grids can be evaluated concurrently without shared state. Records are named
@@ -14,11 +14,6 @@ from collections import namedtuple
 from numbers import Integral, Real
 
 from .errors import DomainError
-
-# highest refinement budget an Accuracy accepts: the engine caches every level
-# it reaches, process-wide, 51,281 nodes in all at the default 12, 820,511 at 16
-MAX_QUAD_REFINEMENTS = 16
-
 
 def _require_int(name: str, value, minimum: int, maximum: float = math.inf) -> None:
     # bool is an Integral, but True as an order or a count is a caller's slip;
@@ -103,20 +98,19 @@ def _as_point(cls, entry):
     return cls(*fields)
 
 
-class Accuracy(namedtuple("Accuracy", "quad_rel_tol max_quad_refinements")):
-    """Tolerance and refinement budget governing quadrature."""
+class Accuracy(namedtuple("Accuracy", "quad_rel_tol")):
+    """Relative tolerance of quadrature; the engine refines at most max_quad_refinements = 12 times."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        quad_rel_tol: float = 1e-12,
-        max_quad_refinements: int = 12,
-    ):
+    # not a field: at quad_rel_tol 1e-16 every reference quadrature converges
+    # by level 9, and genfunc points and extreme (n, x) by level 11. The engine
+    # caches every level it reaches, process-wide, 51,281 nodes in all
+    max_quad_refinements = 12
+
+    def __new__(cls, quad_rel_tol: float = 1e-12):
         _require_tolerance("quad_rel_tol", quad_rel_tol)
-        # the engine refines at least three times before it may stop, so a smaller budget could never converge
-        _require_int("max_quad_refinements", max_quad_refinements, 3, MAX_QUAD_REFINEMENTS)
-        return super().__new__(cls, quad_rel_tol, max_quad_refinements)
+        return super().__new__(cls, quad_rel_tol)
 
 
 DEFAULT_ACCURACY = Accuracy()

@@ -158,11 +158,11 @@ def integrate_de(f: Callable[..., float], acc: Accuracy = DEFAULT_ACCURACY) -> E
     integrand g is integrated as integrate_de(from_samples(lambda us: [g(u) for u in us])).
 
     The trapezoid step on the transformed axis is halved until the
-    level-to-level difference is within quad_rel_tol * max(|value|, 1)
-    or the refinement budget is exhausted. Raises NonConvergenceError
-    (carrying the best estimate, converged=False) when the budget runs out,
-    and DomainError for an f that is not callable or a level sum that is no
-    real number in the float range.
+    level-to-level difference is within quad_rel_tol * max(|value|, 1) or the
+    budget of Accuracy.max_quad_refinements = 12 refinements is exhausted.
+    Raises NonConvergenceError (carrying the best estimate, converged=False)
+    when the budget runs out, and DomainError for an f that is not callable
+    or a level sum that is no real number in the float range.
     """
     _require_accuracy(acc)
     if not callable(f):

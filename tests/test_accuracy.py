@@ -12,8 +12,9 @@ integral and ladder routes, and the derivative routes through the family's
 differential relation, also against closed forms at x = 1/2 and 1 that come
 by another path (the kernel's Fourier series) in stdlib Decimal. The bound of
 every route that reads a quadrature is gated at budgets other than the
-default too: quad_rel_tol 1e-4, 1e-8 and 1e-15. The series route reads no
-budget.
+default too: quad_rel_tol 1e-4, 1e-8, 1e-15 and 1e-16. At 1e-16 every such
+quadrature still converges within the engine's 12 refinements. The series
+route reads no budget.
 """
 
 import json
@@ -188,8 +189,9 @@ def test_ladder_step_error_estimate_is_a_bound(reference):
 
 
 # budgets other than the default, for each route that reads one: the quadrature routes, and the ladder route, whose
-# g(1, x) is an integral; its steps are series sums, which read no budget
-QUAD_BUDGETS = {f"quad_rel_tol={t:g}": Accuracy(quad_rel_tol=t) for t in (1e-4, 1e-8, 1e-15)}
+# g(1, x) is an integral; its steps are series sums, which read no budget. The tightest gates the refinement
+# budget's headroom, as a quadrature that does not converge within it fails the test
+QUAD_BUDGETS = {f"quad_rel_tol={t:g}": Accuracy(quad_rel_tol=t) for t in (1e-4, 1e-8, 1e-15, 1e-16)}
 BUDGET_SETS = {  # route -> (table, points kept, their count)
     "integral": ("g", lambda n, x: n in ORDERS, 2225),
     "derivative-cot": ("dg", lambda n, x: True, 6029),

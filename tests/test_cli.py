@@ -20,8 +20,6 @@ G_2_HALF = 1.5 - math.log(math.pi) + 3.5 * ZETA_3 / math.pi**2
 G_3_HALF = 11.0 / 6.0 - math.log(math.pi) + 6.0 * ZETA_3 / math.pi**2
 # g(40, 1) from a 30-digit mpmath evaluation of the integral
 G_40_ONE = 4.88324646089990972661343507592
-# Too few refinements to converge: the fewest the engine takes, to a tolerance levels 2 and 3 do not meet.
-STARVED = Accuracy(quad_rel_tol=1e-300, max_quad_refinements=3)
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -108,9 +106,20 @@ class TestEval:
         assert "warning" in err
         assert float(parse_plain(out.splitlines()[0])["value"]) == 1.25
 
-    def test_non_convergence_prints_ladder_sum(self, capsys, monkeypatch):
+    def test_unmeetable_tolerance_exits_3_at_the_budget(self, capsys):
+        # no patch: the engine refines 12 times, 51,281 samples, then prints its best estimate
+        code, out, err = run(capsys, "eval", "--n", "3", "--x", "0.5", "--quad-tol", "1e-300")
+        assert code == 3
+        assert err == (
+            "warning: n=3 x=0.5 integral: quadrature did not converge within the refinement budget;"
+            " best estimate printed\n"
+        )
+        record = parse_plain(out.splitlines()[0])
+        assert (record["value"], record["evaluations"]) == ("1.41936641688537", "51281")
+
+    def test_non_convergence_prints_ladder_sum(self, capsys, monkeypatch, starved):
         # the rungs run out of budget; the printed value is still g(3, 1/2)
-        monkeypatch.setattr(cli, "DEFAULT_ACCURACY", STARVED)
+        monkeypatch.setattr(cli, "DEFAULT_ACCURACY", starved)
         code, out, err = run(capsys, "eval", "--n", "3", "--x", "0.5", "--method", "ladder")
         assert code == 3
         assert "best estimate" in err
@@ -229,8 +238,8 @@ class TestTable:
         record = json.loads(out.splitlines()[0])
         assert list(record) == list(cli.TABLE_HEADER)
 
-    def test_non_convergence_prints_integral_value(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "DEFAULT_ACCURACY", STARVED)
+    def test_non_convergence_prints_integral_value(self, capsys, monkeypatch, starved):
+        monkeypatch.setattr(cli, "DEFAULT_ACCURACY", starved)
         code, out, err = run(capsys, "table", "--n-list", "40", "--x-list", "1")
         assert code == 3
         assert "warning: n=40 x=1 integral" in err
@@ -356,21 +365,22 @@ class TestTableLadderClimb:
         assert code == 0
         assert len(calls) == 2 * 10
 
-    def test_starved_table_keeps_its_warnings(self, capsys, monkeypatch):
+    def test_starved_table_keeps_its_warnings(self, capsys, monkeypatch, starved):
         # only the order-5 integrals run out of budget
         integral = family._integral
         monkeypatch.setattr(
-            family, "_integral", lambda p, acc, row=None: integral(p, STARVED if p.n == 5 else acc, row=row)
+            family, "_integral", lambda p, acc, row=None: integral(p, starved if p.n == 5 else acc, row=row)
         )
         code, _, err = run(capsys, "table", "--n-list", "1,2,3,5", "--x-list", "0.5,1")
         assert code == 3
         assert warning_prefixes(err) == ["warning: n=5 x=0.5 integral:", "warning: n=5 x=1 integral:"]
 
+    @pytest.mark.usefixtures("starved")
     def test_non_converged_rungs_warn_in_row_order(self, capsys, monkeypatch):
         # the warnings a row-by-row evaluation of both routes gives, in order;
         # three refinements at 1e-16 starve some quadratures and not others
         # (none at x = 0.5, all but the order-3 integral at x = 0.99)
-        acc = Accuracy(quad_rel_tol=1e-16, max_quad_refinements=3)
+        acc = Accuracy(quad_rel_tol=1e-16)
         monkeypatch.setattr(cli, "DEFAULT_ACCURACY", acc)
         expected = []
         for n in (3, 1, 2):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import logsine
+import logsine.config as config
 import logsine.family as family
 import logsine.verify as verify
 from logsine import (
@@ -47,7 +48,6 @@ from logsine import (
     zeta_even_bernoulli,
     zeta_even_direct,
 )
-from logsine.config import MAX_QUAD_REFINEMENTS
 from logsine.quadrature import _C2, _cot_less_pole, _level, _level_nodes, _log_sinc_less_w2
 
 # Apery's constant zeta(3), exact to double precision
@@ -129,9 +129,8 @@ class TestIntegerArguments:
 
 
 class TestAccuracy:
-    # a tolerance that is not a finite positive number, or a budget that is
-    # not an integer, is a DomainError rather than a budget silently spent,
-    # skipped or failing later with a TypeError
+    # a tolerance that is not a finite positive number is a DomainError rather
+    # than a budget silently spent, skipped or failing later with a TypeError
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -141,37 +140,27 @@ class TestAccuracy:
             ("quad_rel_tol", -1e-15),
             ("quad_rel_tol", "1e-12"),
             ("quad_rel_tol", None),
-            ("max_quad_refinements", 2.5),
-            ("max_quad_refinements", True),
-            ("max_quad_refinements", 0),
-            # the engine refines at least three times before it may stop: these budgets could never converge
-            ("max_quad_refinements", 1),
-            ("max_quad_refinements", 2),
             # a tolerance that converts to no finite float overflows where it is used
             ("quad_rel_tol", 10**400),
             ("quad_rel_tol", Fraction(10**400)),
             ("quad_rel_tol", Decimal("1e400")),
-            # the engine caches every level it reaches, so a runaway budget is refused before any work
-            ("max_quad_refinements", MAX_QUAD_REFINEMENTS + 1),
         ],
     )
     def test_bad_field_rejected(self, field, value):
         with pytest.raises(DomainError, match=field):
             Accuracy(**{field: value})
 
-    def test_integer_budgets_accepted(self):
-        assert Accuracy(max_quad_refinements=np.int64(3)).max_quad_refinements == 3
-
     def test_no_series_term_cap(self):
         # the split series proves its own tail and stops at sequences.SERIES_ABS_TOL, so no budget caps its terms
-        # or sets its stop
-        assert Accuracy._fields == ("quad_rel_tol", "max_quad_refinements")
-        for field in ("max_series_terms", "series_abs_tol"):
+        # or sets its stop; the refinement budget is a constant of the class, readable on every record
+        assert Accuracy._fields == ("quad_rel_tol",)
+        for field in ("max_series_terms", "series_abs_tol", "max_quad_refinements"):
             with pytest.raises(TypeError):
                 Accuracy(**{field: 200})
-
-    def test_refinement_budget_accepted_up_to_the_cap(self):
-        assert Accuracy(max_quad_refinements=MAX_QUAD_REFINEMENTS).max_quad_refinements == MAX_QUAD_REFINEMENTS
+        with pytest.raises(TypeError):
+            Accuracy(1e-12, 12)
+        assert DEFAULT_ACCURACY.max_quad_refinements == Accuracy.max_quad_refinements == 12
+        assert not hasattr(config, "MAX_QUAD_REFINEMENTS")
 
 
 class TestIntegralRoute:
@@ -256,25 +245,19 @@ class TestIntegersPastTheFloatRange:
             check_bernoulli_zeta(BERNOULLI_MAX_INDEX + 1)
 
 
-# Too few refinements to converge: the fewest the engine takes, to a
-# tolerance that levels 2 and 3 do not meet, so every quadrature runs out of
-# budget after 101 samples, yet the smooth remainders leave its best
-# estimate accurate.
-STARVED = Accuracy(quad_rel_tol=1e-300, max_quad_refinements=3)
-
-
 class TestNonConvergence:
     @pytest.mark.parametrize("method", ["integral", "ladder", "derivative-cot"])
-    def test_error_carries_route_level_best_estimate(self, method):
+    def test_error_carries_route_level_best_estimate(self, request, method):
         p = GridPoint(3, 0.5)
+        reference = evaluate(p, method=method).value  # before the budget is cut for every Accuracy
         with pytest.raises(NonConvergenceError) as excinfo:
-            evaluate(p, method=method, acc=STARVED)
+            evaluate(p, method=method, acc=request.getfixturevalue("starved"))
         best = excinfo.value.result
         assert isinstance(best, Evaluation)
         assert best.converged is False
-        assert best.value == pytest.approx(evaluate(p, method=method).value, abs=1e-9)
+        assert best.value == pytest.approx(reference, abs=1e-9)
 
-    def test_ladder_evaluations_count_every_rung(self, monkeypatch):
+    def test_ladder_evaluations_count_every_rung(self, monkeypatch, starved):
         # rung 3 is g(1, x), the climb's one quadrature, plus two steps, each a series sum
         samples = []
         engine = family.integrate_de
@@ -291,20 +274,21 @@ class TestNonConvergence:
 
         monkeypatch.setattr(family, "integrate_de", counting)
         with pytest.raises(NonConvergenceError) as excinfo:
-            evaluate(GridPoint(3, 0.5), method="ladder", acc=STARVED)
+            evaluate(GridPoint(3, 0.5), method="ladder", acc=starved)
         terms = sum(family._derivative_series(GridPoint(n, 0.5)).evaluations for n in (2, 3))
         assert len(samples) == 1
         assert excinfo.value.result.evaluations == samples[0] + terms
 
-    def test_genfunc_error_carries_its_own_best_estimate(self):
+    def test_genfunc_error_carries_its_own_best_estimate(self, request):
         # the payload is the generating function's value, not its remainder integral. At (0.5, 0.5) levels 2 and 3
         # agree exactly, which meets any tolerance
         q = GenfuncPoint(0.3, 0.5)
+        reference = genfunc_closed(q)
         with pytest.raises(NonConvergenceError) as excinfo:
-            genfunc_closed(q, STARVED)
+            genfunc_closed(q, request.getfixturevalue("starved"))
         best = excinfo.value.result
         assert best.converged is False
-        assert best.value == pytest.approx(genfunc_closed(q), abs=1e-9)
+        assert best.value == pytest.approx(reference, abs=1e-9)
 
     def test_converged_results_say_so(self):
         assert evaluate(GridPoint(3, 0.5), method="ladder").converged is True
@@ -350,13 +334,13 @@ class TestLadderCap:
         assert ev.evaluations == evaluate(GridPoint(1, 0.5)).evaluations + sum(step.evaluations for step in steps)
 
     @pytest.mark.parametrize("n", [2, 5, 40, LADDER_MAX_ORDER])
-    def test_a_climb_at_x_one_runs_no_quadrature(self, monkeypatch, n):
+    def test_a_climb_at_x_one_runs_no_quadrature(self, monkeypatch, starved, n):
         # g(1, 1) is a closed form and every step a series sum, so no budget reaches the climb there
         count_quadratures(monkeypatch, lambda f, acc: pytest.fail("quadrature ran"))
         ev = evaluate(GridPoint(n, 1.0), method="ladder")
         steps = [family._ladder_delta(k, 1.0) for k in range(1, n)]
         assert ev.converged and ev.evaluations == sum(step.evaluations for step in steps)
-        assert fields(evaluate(GridPoint(n, 1.0), method="ladder", acc=STARVED)) == fields(ev)
+        assert fields(evaluate(GridPoint(n, 1.0), method="ladder", acc=starved)) == fields(ev)
 
 
 class TestDerivativeRoutes:
@@ -460,11 +444,12 @@ class TestLadderRoute:
         assert ladder_delta(1, 1.0) == 0.5
         assert eval_via_ladder(GridPoint(2, 1.0)) == pytest.approx(G_2_ONE, abs=4e-15)
 
-    @pytest.mark.parametrize("acc", [Accuracy(), STARVED], ids=["default", "starved"])
-    def test_path_prefixes_are_the_ladder_route(self, acc):
+    @pytest.mark.parametrize("starve", [False, True], ids=["default", "starved"])
+    def test_path_prefixes_are_the_ladder_route(self, request, starve):
         # rung n of one climb is g(1, x) plus steps 1..n-1, summed in that
         # order, which is a climb that stops at n, bit for bit; a rung that did
         # not converge raises with its value as the result
+        acc = request.getfixturevalue("starved") if starve else Accuracy()
         climb = family._scale(0.3, acc).rung
         top = best_estimate(climb, 6)  # the lower rungs are read from this climb's prefix
         path = [best_estimate(climb, n) for n in range(1, 7)]
@@ -479,7 +464,7 @@ class TestLadderRoute:
             converged = converged and part.converged
             assert rung == Evaluation(value, err, evaluations, converged)
             assert rung == best_estimate(family._scale(0.3, acc).rung, n)
-        assert converged is (acc is not STARVED)
+        assert converged is not starve
 
     def test_via_ladder_agrees_with_integral(self):
         p = GridPoint(10, 0.5)
@@ -728,7 +713,7 @@ class TestInputContract:
 
 # every public name that takes input, with a valid value for each of its parameters
 VALID_CALLS = {
-    "Accuracy": dict(quad_rel_tol=1e-12, max_quad_refinements=12),
+    "Accuracy": dict(quad_rel_tol=1e-12),
     "GenfuncPoint": dict(x=0.5, z=0.3),
     "GridPoint": dict(n=3, x=0.5),
     "IdentityReport": dict(identity_id="id", grid=(1,), max_abs_residual=0.0, tolerance=1.0, passed=True, notes=""),
@@ -942,8 +927,8 @@ class TestAveragedIntegrand:
         assert 0 < len(calls) < ev.evaluations
 
     def test_no_weight_after_the_first_underflow_is_nonzero(self):
-        # the premise of the stop, at every level any Accuracy may reach (levels built uncached)
-        for level in range(MAX_QUAD_REFINEMENTS + 1):
+        # the premise of the stop, at every level the engine may reach (levels built uncached)
+        for level in range(Accuracy.max_quad_refinements + 1):
             us = [u for u, _ in _level_nodes.__wrapped__(level)]
             for n in ORDERS:
                 ws = [(1.0 - u) ** (n - 1) for u in us]

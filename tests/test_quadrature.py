@@ -24,8 +24,6 @@ from logsine.quadrature import _cot_less_pole, _level_nodes, _log_sinc_less_w2
 # Apery's constant zeta(3), exact to double precision
 ZETA_3 = 1.2020569031595943
 PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
-# Too few refinements to converge: the fewest the engine takes, to a tolerance levels 2 and 3 do not meet.
-STARVED = Accuracy(quad_rel_tol=1e-300, max_quad_refinements=3)
 
 
 def pointwise(g):
@@ -244,9 +242,9 @@ class TestIntegrateDE:
         with pytest.raises(NonFiniteSampleError):
             integrate_de(pointwise(lambda u: math.inf))
 
-    def test_non_convergence_carries_best_estimate(self):
+    def test_non_convergence_carries_best_estimate(self, starved):
         with pytest.raises(NonConvergenceError) as excinfo:
-            integrate_de(pointwise(lambda u: log_sin_kernel(0.5, u)), STARVED)
+            integrate_de(pointwise(lambda u: log_sin_kernel(0.5, u)), starved)
         best = excinfo.value.result
         assert math.isfinite(best.value)
         assert best.err_estimate >= 0.0
@@ -260,10 +258,11 @@ class TestIntegrateDE:
         b = integrate_de(pointwise(f))
         assert (a.value, a.err_estimate, a.evaluations) == (b.value, b.err_estimate, b.evaluations)
 
-    @pytest.mark.parametrize("acc", [Accuracy(), STARVED], ids=["converged", "starved"])
-    def test_evaluations_count_whole_levels(self, acc):
+    @pytest.mark.parametrize("starve", [False, True], ids=["converged", "starved"])
+    def test_evaluations_count_whole_levels(self, request, starve):
         # every level used is used whole: the count is the level sizes summed
         # up to the last level reached
+        acc = request.getfixturevalue("starved") if starve else Accuracy()
         calls = []
 
         def f(u):
@@ -276,7 +275,7 @@ class TestIntegrateDE:
             q = exc.result
         sizes = [len(_level_nodes(level)) for level in range(acc.max_quad_refinements + 1)]
         assert q.evaluations == len(calls)
-        assert q.converged is (acc is not STARVED)
+        assert q.converged is not starve
         if q.converged:
             assert q.evaluations in [sum(sizes[: k + 1]) for k in range(3, acc.max_quad_refinements + 1)]
         else:
@@ -320,8 +319,9 @@ class TestLevelContract:
         assert len(first) == len(second)
         assert all(a is b for a, b in zip(first, second))
 
-    @pytest.mark.parametrize("acc", [Accuracy(), STARVED], ids=["converged", "starved"])
-    def test_evaluations_equal_the_samples_requested(self, acc):
+    @pytest.mark.parametrize("starve", [False, True], ids=["converged", "starved"])
+    def test_evaluations_equal_the_samples_requested(self, request, starve):
+        acc = request.getfixturevalue("starved") if starve else Accuracy()
         requested = []
 
         def f(us):
@@ -333,7 +333,7 @@ class TestLevelContract:
         except NonConvergenceError as exc:
             q = exc.result
         assert q.evaluations == sum(requested)
-        assert q.converged is (acc is not STARVED)
+        assert q.converged is not starve
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_row_length_rejected(self, extra):
@@ -368,7 +368,7 @@ class TestLevelContract:
         # only a non-finite sample raises NonFiniteSampleError; a sum that
         # overflows never converges, as with scalar integrands
         with pytest.raises(NonConvergenceError) as excinfo:
-            integrate_de(from_samples(lambda us: [1e308] * len(us)), Accuracy(max_quad_refinements=4))
+            integrate_de(from_samples(lambda us: [1e308] * len(us)))
         assert excinfo.value.result.converged is False
 
     @pytest.mark.parametrize("f", [None, 0, "f", [1.0]], ids=["None", "int", "str", "list"])

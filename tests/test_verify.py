@@ -265,11 +265,8 @@ class TestChecks:
     def test_checks_are_deterministic(self):
         assert check_ladder(grid=[(1, 0.5), (2, 0.3)]) == check_ladder(grid=[(1, 0.5), (2, 0.3)])
 
-    def test_point_failures_recorded_without_aborting(self):
-        from logsine import Accuracy
-
-        acc = Accuracy(quad_rel_tol=1e-18, max_quad_refinements=3)
-        report = check_derivative(grid=[(1, 0.5)], acc=acc)
+    def test_point_failures_recorded_without_aborting(self, starved):
+        report = check_derivative(grid=[(1, 0.5)], acc=starved)
         assert not report.passed
         assert report.max_abs_residual == math.inf
         assert "evaluation failures" in report.notes
@@ -298,11 +295,8 @@ class TestChecks:
 
 
 class TestAuditsAlwaysComplete:
-    def test_table_rows_emitted_despite_budget_exhaustion(self):
-        from logsine import Accuracy
-
-        acc = Accuracy(quad_rel_tol=1e-18, max_quad_refinements=3)
-        audit = audit_table(acc)
+    def test_table_rows_emitted_despite_budget_exhaustion(self, starved):
+        audit = audit_table(starved)
         assert len(audit.rows) == 4
         assert all(math.isfinite(r.computed_value) for r in audit.rows)
 
