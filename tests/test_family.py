@@ -308,6 +308,35 @@ def count_quadratures(monkeypatch, engine=None):
     return calls
 
 
+class TestRefinementBudgetHeadroom:
+    # the tightest tolerance gated, at the points nearest the budget found and at the extremes of n and x: every
+    # quadrature converges by level 11, one refinement short of the engine's 12
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda acc: evaluate(GridPoint(1, 1.0 - 2.0**-52), method="integral", acc=acc),
+            lambda acc: evaluate(GridPoint(10**300, 1.0), method="integral", acc=acc),
+            lambda acc: evaluate(GridPoint(10**300, 5e-324), method="derivative-cot", acc=acc),
+            lambda acc: genfunc_closed(GenfuncPoint(1.0, -0.9), acc),
+            lambda acc: genfunc_closed(GenfuncPoint(1.0, 0.5), acc),
+        ],
+        ids=["integral-1-below-1", "integral-1e300-1", "cot-1e300-5e-324", "genfunc-1--0.9", "genfunc-1-0.5"],
+    )
+    def test_tightest_tolerance_converges_a_level_short_of_the_budget(self, monkeypatch, call):
+        results = []
+        engine = family.integrate_de
+
+        def recording(f, acc):
+            results.append(engine(f, acc))
+            return results[-1]
+
+        count_quadratures(monkeypatch, recording)
+        call(Accuracy(quad_rel_tol=1e-16))
+        through_level_11 = sum(len(_level_nodes(level)) for level in range(Accuracy.max_quad_refinements))
+        assert results
+        assert all(q.converged and q.evaluations <= through_level_11 for q in results)
+
+
 class TestLadderCap:
     # a climb runs one quadrature per rung, so an order past the cap is refused before any
     @pytest.mark.parametrize(

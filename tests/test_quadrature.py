@@ -250,6 +250,18 @@ class TestIntegrateDE:
         assert best.err_estimate >= 0.0
         assert best.evaluations >= 1
 
+    def test_unmeetable_tolerance_spends_the_whole_budget(self):
+        # no patch: the engine refines 12 times, then carries its best estimate of the zero-mean integral
+        with pytest.raises(NonConvergenceError) as excinfo:
+            integrate_de(pointwise(lambda u: log_sin_kernel(0.5, u)), Accuracy(quad_rel_tol=1e-300))
+        best = excinfo.value.result
+        assert (best.converged, best.evaluations) == (False, 51281)
+        assert abs(best.value) <= 1e-10
+
+    def test_budget_caches_51281_nodes(self):
+        # the nodes of every level the engine may reach, each level cached for the life of the process
+        assert sum(len(_level_nodes(level)) for level in range(Accuracy.max_quad_refinements + 1)) == 51281
+
     def test_deterministic(self):
         def f(u):
             return weight(3, u) * log_sin_kernel(0.7, u)
